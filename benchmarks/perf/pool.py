@@ -1,18 +1,17 @@
 """Host-side scenario pool for ``run_bench.py --jobs N``.
 
-This is one of exactly two places in the repository where host-level
-parallelism is allowed (the other is ``src/repro/hostexec``, the
-multiprocess partition backend; the ``host-thread`` simlint rule forbids
-``threading`` / ``multiprocessing`` / ``concurrent`` / ``asyncio``
-imports everywhere else under ``src/repro``): simulations must stay
-single-threaded and deterministic, so parallelism lives strictly
-*between* simulations, one whole scenario per worker process.
+This is the one place in the repository where host-level parallelism
+is allowed (the ``host-thread`` simlint rule forbids ``threading`` /
+``multiprocessing`` / ``concurrent`` / ``asyncio`` imports everywhere
+under ``src/repro``): simulations must stay single-threaded and
+deterministic, so parallelism lives strictly *between* simulations, one
+whole scenario per worker process.
 
 Design constraints, in order:
 
 * **Per-scenario walls stay honest.**  Each scenario's repeats — and in
   particular the interleaved baseline pairs (coalesced vs reference,
-  fused vs layered) — run inside one worker process, exactly as in the
+  worklist vs full scan) — run inside one worker process, exactly as in the
   serial driver, so intra-scenario comparisons never cross a process
   boundary.  Scenario-to-scenario walls *are* noisier under ``--jobs``
   (workers share cores and caches), so every record is annotated

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import gc
 import json
 import platform
 import re
@@ -71,21 +70,18 @@ def check_docs(root: Path = REPO_ROOT) -> list[str]:
 
 
 def check_multiprocessing_imports(root: Path = REPO_ROOT) -> list[str]:
-    """Modules under ``src/`` importing :mod:`multiprocessing` outside the
-    sanctioned ``src/repro/hostexec`` package.
+    """Modules under ``src/`` importing :mod:`multiprocessing`.
 
-    The simlint ``host-thread`` rule is scoped *around* hostexec in
-    ``pyproject.toml`` (it is the one place host concurrency is allowed);
-    this companion check ensures the carve-out never silently widens.
+    Simulations are single-threaded and deterministic; host parallelism
+    lives strictly between simulations (``benchmarks/perf/pool.py``).
+    The simlint ``host-thread`` rule covers ``src/repro``; this companion
+    check covers everything else under ``src/``.
     """
     import ast
 
     src = root / "src"
-    allowed = src / "repro" / "hostexec"
     offenders = []
     for path in sorted(src.rglob("*.py")):
-        if allowed in path.parents:
-            continue
         try:
             tree = ast.parse(path.read_text(), filename=str(path))
         except SyntaxError:  # pragma: no cover - simlint reports these
@@ -227,28 +223,20 @@ def nas(bench: str, nprocs: int, stack: str, iterations: int):
 
 def nas_sparse(
     bench: str, nprocs: int, stack: str, iterations: int, inner=None,
-    coalesce: bool = True, fastpath: bool = True, partition_ranks: int = 0,
-    partition_workers: int = 0,
+    coalesce: bool = True,
 ):
     """Scale scenario: sparse bound vectors + per-entry cost model.
 
     The 256/512-rank regime the dense ``× nprocs`` formulas could not
-    credibly reach; ``inner`` truncates CG's inner loop in quick mode,
+    credibly reach; ``inner`` truncates CG's inner loop in quick mode and
     ``coalesce=False`` selects the reference engine for the
-    coalesced-vs-reference pair, ``fastpath=False`` the layered
-    delivery stack for the fused-vs-reference dispatch pair,
-    ``partition_ranks=K`` the conservative-window partitioned facade for
-    the partitioned-vs-single pair, and ``partition_workers=W`` the
-    shared-nothing multiprocess backend for the workers-vs-partitioned
-    pair (identical checksums required on all four pairs).
+    coalesced-vs-reference pair (identical checksums required).
     """
     from repro.experiments.common import run_nas
     from repro.runtime.config import ClusterConfig
 
     cfg = ClusterConfig().with_overrides(
-        pb_cost_model="sparse", engine_coalesce=coalesce,
-        delivery_fastpath=fastpath, partition_ranks=partition_ranks,
-        partition_workers=partition_workers,
+        pb_cost_model="sparse", engine_coalesce=coalesce
     )
     result, _info = run_nas(
         bench, "A", nprocs, stack, iterations=iterations, config=cfg,
@@ -524,18 +512,8 @@ def scenarios(quick: bool) -> dict:
             "nas_cg256_sparse_engine_ref": lambda: nas_sparse(
                 "cg", 256, "vcausal", 1, inner=3, coalesce=False
             ),
-            "nas_cg256_sparse_dispatch_ref": lambda: nas_sparse(
-                "cg", 256, "vcausal", 1, inner=3, fastpath=False
-            ),
             "nas_cg512_vcausal_sparse": lambda: nas_sparse(
                 "cg", 512, "vcausal", 1, inner=1
-            ),
-            "nas_cg512_partitioned": lambda: nas_sparse(
-                "cg", 512, "vcausal", 1, inner=1, partition_ranks=4
-            ),
-            "nas_cg512_workers": lambda: nas_sparse(
-                "cg", 512, "vcausal", 1, inner=1,
-                partition_ranks=4, partition_workers=4,
             ),
             "nas_bt16_vcausal_sparse": lambda: nas_sparse("bt", 16, "vcausal", 1),
             "nas_sp16_vcausal_sparse": lambda: nas_sparse("sp", 16, "vcausal", 1),
@@ -583,16 +561,6 @@ def scenarios(quick: bool) -> dict:
         ),
         "nas_cg512_vcausal_sparse": lambda: nas_sparse(
             "cg", 512, "vcausal", 1, inner=3
-        ),
-        "nas_cg512_sparse_dispatch_ref": lambda: nas_sparse(
-            "cg", 512, "vcausal", 1, inner=3, fastpath=False
-        ),
-        "nas_cg512_partitioned": lambda: nas_sparse(
-            "cg", 512, "vcausal", 1, inner=3, partition_ranks=4
-        ),
-        "nas_cg512_workers": lambda: nas_sparse(
-            "cg", 512, "vcausal", 1, inner=3,
-            partition_ranks=4, partition_workers=4,
         ),
         "nas_cg1024_vcausal_sparse": lambda: nas_sparse(
             "cg", 1024, "vcausal", 1, inner=1
@@ -646,14 +614,6 @@ def profile_scenario(name: str, quick: bool, top: int = 20) -> int:
             file=sys.stderr,
         )
         return 2
-    if "workers" in name:
-        # partition_workers scenarios fork: the profiler only sees the
-        # parent (barrier driver, replay, collation); per-event simulation
-        # work happens in child processes and is invisible here
-        print(
-            f"note: {name} runs the multiprocess backend; this profile "
-            "covers the driver process only, not the forked workers"
-        )
     profiler = cProfile.Profile()
     profiler.enable()
     events, _checksum = fn()
@@ -661,65 +621,7 @@ def profile_scenario(name: str, quick: bool, top: int = 20) -> int:
     print(f"{name}: {events:,} simulated events ({'quick' if quick else 'full'} size)")
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)
-    # label the fused dispatch frames so before/after frame counts are
-    # visible: with delivery_fastpath on these closures replace the
-    # layered on_wire/_on_app_message/_hand_to_app/app_send chain
-    print("[fused] dispatch frames (runtime/fastpath.py closures):")
-    stats.print_stats(r"fastpath\.py")
     return 0
-
-
-def dispatch_microbench(n: int = 50_000, passes: int = 3) -> dict:
-    """Host-wall A/B of the fused vs the layered receive dispatch.
-
-    Delivers ``n`` pre-built app messages straight into rank 1's wire
-    sink on identically wired 2-rank clusters (``delivery_fastpath`` on
-    vs off).  The vdummy stack keeps per-message protocol work
-    negligible, so the ratio isolates exactly the dispatch frames the
-    fastpath removes; simulated state is irrelevant (nothing is run).
-    Returns both best-of-``passes`` walls; the tier-1 smoke asserts a
-    fused-is-faster floor on the ratio.
-    """
-    from repro.runtime.cluster import Cluster
-    from repro.runtime.config import ClusterConfig
-    from repro.runtime.daemon import WireMessage
-
-    def one_wall(fastpath: bool) -> float:
-        cfg = ClusterConfig().with_overrides(delivery_fastpath=fastpath)
-        cluster = Cluster(
-            nprocs=2,
-            app_factory=lambda ctx: iter(()),
-            stack="vdummy",
-            config=cfg,
-        )
-        sink = cluster.daemons[1].wire_sink
-        msgs = [
-            WireMessage(kind="app", src=0, dst=1, ssn=i + 1, nbytes=64)
-            for i in range(n)
-        ]
-        for m in msgs[:256]:  # warm caches before the timed stretch
-            sink(m)
-        # a collection landing inside one timed stretch but not the other
-        # swamps the few-µs-per-message signal (a full --run-bench leaves
-        # plenty of garbage behind), so the timed region runs GC-free
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            for m in msgs[256:]:
-                sink(m)
-            return time.perf_counter() - t0
-        finally:
-            gc.enable()
-
-    fused = min(one_wall(True) for _ in range(passes))
-    layered = min(one_wall(False) for _ in range(passes))
-    return {
-        "fused_s": round(fused, 6),
-        "layered_s": round(layered, 6),
-        "speedup": round(layered / fused, 3) if fused > 0 else None,
-        "messages": n - 256,
-    }
 
 
 # --------------------------------------------------------------------- #
@@ -872,18 +774,15 @@ def main(argv=None) -> int:
             [sys.executable, "-m", "tools.simlint", "src", "tools"],
             cwd=REPO_ROOT,
         )
-        # ... plus the hostexec quarantine: pyproject scopes hostexec out
-        # of the host-thread rule, so verify here that it is the *only*
-        # package under src/ exercising that carve-out
+        # ... plus: nothing under src/ may import multiprocessing at all
         offenders = check_multiprocessing_imports()
         if offenders:
             print(
-                "multiprocessing imported outside src/repro/hostexec: "
-                + ", ".join(offenders),
+                "multiprocessing imported under src/: " + ", ".join(offenders),
                 file=sys.stderr,
             )
             return 1
-        print("multiprocessing quarantine: only src/repro/hostexec imports it")
+        print("multiprocessing quarantine: nothing under src/ imports it")
         return proc.returncode
     if args.profile is not None:
         return profile_scenario(args.profile, args.quick)

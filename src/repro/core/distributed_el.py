@@ -80,20 +80,6 @@ def shard_host(index: int) -> str:
     return f"el{index}"
 
 
-def shard_partition(index: int, nprocs: int, partitions: int) -> int:
-    """Simulation partition an EL shard is pinned to (partitioned runs).
-
-    Shard ``k`` serves creators ``{r : r % count == k}``; pinning it with
-    its lowest assigned creator keeps the shard's heaviest channel inside
-    one partition.  Placement only shapes cross-partition exchange
-    traffic — the global ``(time, seq)`` merge keeps results identical
-    for any pinning (see :mod:`repro.simulator.partition`).
-    """
-    from repro.simulator.partition import partition_of_rank
-
-    return partition_of_rank(min(index, nprocs - 1), nprocs, partitions)
-
-
 class EventLoggerShard(EventLogger):
     """One shard: a full EL plus a merged global view of its peers."""
 

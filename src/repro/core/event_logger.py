@@ -107,11 +107,7 @@ class EventLogger:
         #: :meth:`_note_stable_advance` (sharded groups: peer-view absorbs,
         #: disk failover rebuilds) — the journal then no longer mirrors
         #: the vector and acks fall back to plain snapshots.
-        # With the fused-dispatch knob off the receiver fast path never
-        # consumes the journal, so maintaining it (and wrapping acks in
-        # ElAck) would be pure host-side overhead the layered reference
-        # stack should not pay; wire bytes are identical either way.
-        self._ack_fast = bool(config.delivery_fastpath)
+        self._ack_fast = True
         self._busy_until = 0.0
         self._queued = 0
         # The select loop completes services in strictly increasing

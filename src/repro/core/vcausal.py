@@ -54,7 +54,6 @@ class VcausalProtocol(VProtocol):
         "_sv",
         "_live",
         "_fresh_set",
-        "_fastack",
         "_ack_src",
         "_ack_pos",
     )
@@ -90,23 +89,19 @@ class VcausalProtocol(VProtocol):
         #: entries omitted.  This replaces reads of the dense
         #: ``self.stable`` list (which stays all-zero for this protocol):
         #: build/accept only probe a handful of creators per message, and
-        #: the journal fast path below merges acks with one dict.update.
+        #: the journal fold below merges acks with one dict.update.
         self._sv: dict[int, int] = {}
-        #: journal-fold ack mode (see on_el_ack); mirrors the
-        #: delivery_fastpath knob so reference runs keep the full-vector
-        #: rescan semantics frame for frame
-        self._fastack = bool(config.delivery_fastpath)
-        #: fast mode only: creators whose sequence window is nonempty —
-        #: the only sequences an ack can actually prune.  Kept in sync at
-        #: every append (accept/on_local_event) and every prune.
+        #: creators whose sequence window is nonempty — the only
+        #: sequences an ack can actually prune.  Kept in sync at every
+        #: append (accept/on_local_event) and every prune.
         self._live: dict[int, EventSequence] = {}
-        #: fast mode only: set twin of _fresh_prune, consulted by the
-        #: accept-time floor freshening (fresh floors must stay at their
-        #: creation value until the next ack, exactly as the reference)
+        #: set twin of _fresh_prune, consulted by the accept-time floor
+        #: freshening (a fresh floor stays at its creation value until
+        #: the next ack re-floors it)
         self._fresh_set: set[int] = set()
-        #: fast mode only: the EventLogger whose ack journal we are
-        #: folding exclusively, and the journal position consumed so far.
-        #: None until the first ack proves our view equals its snapshot.
+        #: the EventLogger whose ack journal we are folding exclusively,
+        #: and the journal position consumed so far.  None until the
+        #: first ack proves our view equals its snapshot.
         self._ack_src: Any = None
         self._ack_pos = 0
 
@@ -141,7 +136,7 @@ class VcausalProtocol(VProtocol):
         candidates = self._build_candidates(dst, self._growth, len(self.seqs))
         if candidates is None:
             items = self.seqs.items()
-        elif self._fastack:
+        else:
             # host-side iteration reduction only (the simulated charge and
             # the pb_build_seqs_scanned probe above are unchanged): an
             # empty-window creator can never contribute — its max_clock is
@@ -152,9 +147,6 @@ class VcausalProtocol(VProtocol):
             items = [
                 (c, s_) for c in candidates if (s_ := lget(c)) is not None
             ]
-        else:
-            seqs = self.seqs
-            items = [(c, seqs[c]) for c in candidates]
         for creator, seq in items:
             lo = bget(creator, 0)
             s = sget(creator, 0)
@@ -213,8 +205,7 @@ class VcausalProtocol(VProtocol):
         seq = self._seq(self.rank)
         seq.append(det)
         self._held += 1
-        if self._fastack:
-            self._live[self.rank] = seq
+        self._live[self.rank] = seq
         self._growth.mark_grown(self.rank)
         self.probes.note_events_held(self._held)
 
@@ -223,7 +214,6 @@ class VcausalProtocol(VProtocol):
         bound = self._bound(src).data
         bget = bound.get
         sget = self._sv.get
-        fastack = self._fastack
         fresh_set = self._fresh_set
         seqs = self.seqs
         probes = self.probes
@@ -242,12 +232,11 @@ class VcausalProtocol(VProtocol):
             seq = seqs.get(creator)
             if seq is None:
                 seq = self._seq(creator)
-            elif fastack and creator not in fresh_set:
+            elif creator not in fresh_set:
                 # journal-fold acks skip the eager floor raise on empty
                 # windows; catch the floor up with the stable clock before
-                # any duplicate test so classification matches the
-                # reference exactly (fresh sequences keep their creation
-                # floor until the next ack, also as the reference)
+                # any duplicate test (fresh sequences keep their creation
+                # floor until the next ack)
                 f = sget(creator, 0)
                 if f > seq.pruned_upto:
                     seq.pruned_upto = f
@@ -304,8 +293,7 @@ class VcausalProtocol(VProtocol):
             if run_added:
                 added += run_added
                 mark_grown(creator)
-                if fastack:
-                    live[creator] = seq
+                live[creator] = seq
             # src held these events: never send them back on this channel
             if last > bget(creator, 0):
                 bound[creator] = last
@@ -327,183 +315,147 @@ class VcausalProtocol(VProtocol):
         return cost
 
     def on_el_ack(self, stable_vector: StableState) -> None:
-        # Fused merge + prune, one pass over the ack vector: only creators
-        # whose stable clock moved can have anything new to prune (every
-        # other sequence was already pruned to its unchanged clock), so
-        # the moved check, the stable-vector write and the prune happen in
-        # a single loop with no intermediate moved list.  The stable view
-        # is the sparse dict (monotone raises only); sequences created
-        # since the last ack are re-floored at the end even when their
-        # clock did not move.
+        # Merge + prune.  Only creators whose stable clock moved can have
+        # anything new to prune (every other sequence was already pruned
+        # to its unchanged clock).  The stable view is the sparse dict
+        # (monotone raises only); sequences created since the last ack
+        # are re-floored at the end even when their clock did not move.
         #
-        # Fast-ack mode (delivery_fastpath) goes further: once this
-        # process has adopted one EventLogger's acks, each ack is an
-        # :class:`ElAck` carrying the logger's advance journal, and the
-        # slice since our consumed position IS the moved set — so the
+        # Once this process has adopted one EventLogger's acks, each ack
+        # is an :class:`ElAck` carrying the logger's advance journal, and
+        # the slice since our consumed position IS the moved set — so the
         # merge is one dict.update and the prune loop walks only the
         # nonempty sequences that actually moved, skipping the full
-        # vector rescan entirely.  Simulated behaviour is identical:
-        # exactly the same entries are raised and exactly the same
-        # determinants dropped, lazily deferring only the floor raise on
-        # *empty* windows (re-applied at the next touch in
-        # accept_piggyback and flushed in export_state).
+        # vector rescan entirely.  The floor raise on *empty* windows is
+        # deferred (re-applied at the next touch in accept_piggyback and
+        # flushed in export_state).
         v = self._sv
-        seqs = self.seqs
+        live = self._live
         dropped = 0
-        if self._fastack:
-            if (
-                type(stable_vector) is ElAck
-                and stable_vector.src is self._ack_src
-                and stable_vector.upto >= self._ack_pos
-            ):
-                moved = dict(stable_vector.log[self._ack_pos : stable_vector.upto])
-                self._ack_pos = stable_vector.upto
-                if moved:
-                    v.update(moved)
-                    live = self._live
-                    if live:
-                        # walk the smaller side of the (moved ∩ live) join
-                        dead: list[int] = []
-                        if len(live) <= len(moved):
-                            mget = moved.get
-                            for c, seq in live.items():
-                                k = mget(c)
-                                if k is None:
-                                    continue
-                                clocks = seq._clocks
-                                off = seq._offset
-                                n = len(clocks)
-                                if off < n and clocks[off] <= k:
-                                    if k >= clocks[-1]:
-                                        # inline full-window clear — the
-                                        # steady-ack common shape of
-                                        # EventSequence.prune_upto
-                                        dropped += n - off
-                                        clocks.clear()
-                                        seq._dets.clear()
-                                        seq._offset = 0
-                                        seq._contiguous = True
-                                        seq.max_clock = 0
-                                        if k > seq.pruned_upto:
-                                            seq.pruned_upto = k
-                                        dead.append(c)
-                                    else:
-                                        dropped += seq.prune_upto(k)
-                                elif k > seq.pruned_upto:
-                                    seq.pruned_upto = k
-                        else:
-                            lget = live.get
-                            for c, k in moved.items():
-                                seq = lget(c)
-                                if seq is None:
-                                    continue
-                                clocks = seq._clocks
-                                off = seq._offset
-                                n = len(clocks)
-                                if off < n and clocks[off] <= k:
-                                    if k >= clocks[-1]:
-                                        dropped += n - off
-                                        clocks.clear()
-                                        seq._dets.clear()
-                                        seq._offset = 0
-                                        seq._contiguous = True
-                                        seq.max_clock = 0
-                                        if k > seq.pruned_upto:
-                                            seq.pruned_upto = k
-                                        dead.append(c)
-                                    else:
-                                        dropped += seq.prune_upto(k)
-                                elif k > seq.pruned_upto:
-                                    seq.pruned_upto = k
-                        for c in dead:
-                            del live[c]
-                fresh = self._fresh_prune
-                if fresh:
-                    vget = v.get
-                    live = self._live
-                    for c in fresh:
-                        seq = seqs[c]
-                        dropped += seq.prune_upto(vget(c, 0))
-                        if seq._offset >= len(seq._clocks):
-                            live.pop(c, None)
-                    self._fresh_prune = []
-                    self._fresh_set.clear()
-                self._held -= dropped
-                return
-            # fallback: full-vector fold (first ack ever, plain snapshot
-            # pushes, logger failover / restore source switches), with
-            # live-set upkeep so the journal path stays valid afterwards
-            items = (
-                stable_vector.items()
-                if hasattr(stable_vector, "items")
-                else enumerate(stable_vector)
-            )
-            vget = v.get
-            seqs_get = seqs.get
-            live = self._live
-            for c, k in items:
-                if k > vget(c, 0):
-                    v[c] = k
-                    seq = seqs_get(c)
-                    if seq is not None:
-                        clocks = seq._clocks
-                        off = seq._offset
-                        if off < len(clocks) and clocks[off] <= k:
-                            dropped += seq.prune_upto(k)
-                            if seq._offset >= len(seq._clocks):
-                                live.pop(c, None)
-                        elif k > seq.pruned_upto:
-                            seq.pruned_upto = k
-            fresh = self._fresh_prune
-            if fresh:
-                for c in fresh:
-                    seq = seqs[c]
-                    dropped += seq.prune_upto(vget(c, 0))
-                    if seq._offset >= len(seq._clocks):
-                        live.pop(c, None)
-                self._fresh_prune = []
-                self._fresh_set.clear()
+        if (
+            type(stable_vector) is ElAck
+            and stable_vector.src is self._ack_src
+            and stable_vector.upto >= self._ack_pos
+        ):
+            moved = dict(stable_vector.log[self._ack_pos : stable_vector.upto])
+            self._ack_pos = stable_vector.upto
+            if moved:
+                v.update(moved)
+                if live:
+                    # walk the smaller side of the (moved ∩ live) join; the
+                    # loop body is written out on both sides on purpose —
+                    # this runs once per ack and a shared helper or a
+                    # materialised join measurably slows the ack fold
+                    dead: list[int] = []
+                    if len(live) <= len(moved):
+                        mget = moved.get
+                        for c, seq in live.items():
+                            k = mget(c)
+                            if k is None:
+                                continue
+                            clocks = seq._clocks
+                            off = seq._offset
+                            n = len(clocks)
+                            if off < n and clocks[off] <= k:
+                                if k >= clocks[-1]:
+                                    # inline full-window clear — the
+                                    # steady-ack common shape of
+                                    # EventSequence.prune_upto
+                                    dropped += n - off
+                                    clocks.clear()
+                                    seq._dets.clear()
+                                    seq._offset = 0
+                                    seq._contiguous = True
+                                    seq.max_clock = 0
+                                    if k > seq.pruned_upto:
+                                        seq.pruned_upto = k
+                                    dead.append(c)
+                                else:
+                                    dropped += seq.prune_upto(k)
+                            elif k > seq.pruned_upto:
+                                seq.pruned_upto = k
+                    else:
+                        lget = live.get
+                        for c, k in moved.items():
+                            seq = lget(c)
+                            if seq is None:
+                                continue
+                            clocks = seq._clocks
+                            off = seq._offset
+                            n = len(clocks)
+                            if off < n and clocks[off] <= k:
+                                if k >= clocks[-1]:
+                                    dropped += n - off
+                                    clocks.clear()
+                                    seq._dets.clear()
+                                    seq._offset = 0
+                                    seq._contiguous = True
+                                    seq.max_clock = 0
+                                    if k > seq.pruned_upto:
+                                        seq.pruned_upto = k
+                                    dead.append(c)
+                                else:
+                                    dropped += seq.prune_upto(k)
+                            elif k > seq.pruned_upto:
+                                seq.pruned_upto = k
+                    for c in dead:
+                        del live[c]
+            if self._fresh_prune:
+                dropped += self._refloor_fresh()
             self._held -= dropped
-            # adopt the journal iff our merged view now equals the ack's
-            # snapshot exactly: from then on every entry this logger
-            # appends past `upto` is a genuine raise over our view, so
-            # folding the slice alone is exact.  Plain-vector acks (or a
-            # mismatch) drop any previous adoption.
-            if type(stable_vector) is ElAck and v == stable_vector.data:
-                self._ack_src = stable_vector.src
-                self._ack_pos = stable_vector.upto
-            else:
-                self._ack_src = None
             return
-        # reference path (delivery_fastpath off): full-vector rescan
+        # fallback: full-vector fold (first ack ever, plain snapshot
+        # pushes, logger failover / restore source switches), with
+        # live-set upkeep so the journal path stays valid afterwards
         items = (
             stable_vector.items()
             if hasattr(stable_vector, "items")
             else enumerate(stable_vector)
         )
         vget = v.get
-        seqs_get = seqs.get
+        seqs_get = self.seqs.get
         for c, k in items:
             if k > vget(c, 0):
                 v[c] = k
                 seq = seqs_get(c)
                 if seq is not None:
-                    # inline no-op check: ~85% of advanced creators hold
-                    # nothing prunable (their window is already empty or
-                    # entirely above k), and only the floor must move
                     clocks = seq._clocks
                     off = seq._offset
                     if off < len(clocks) and clocks[off] <= k:
                         dropped += seq.prune_upto(k)
+                        if seq._offset >= len(seq._clocks):
+                            live.pop(c, None)
                     elif k > seq.pruned_upto:
                         seq.pruned_upto = k
-        fresh = self._fresh_prune
-        if fresh:
-            for c in fresh:
-                dropped += seqs[c].prune_upto(vget(c, 0))
-            self._fresh_prune = []
-            self._fresh_set.clear()
+        if self._fresh_prune:
+            dropped += self._refloor_fresh()
         self._held -= dropped
+        # adopt the journal iff our merged view now equals the ack's
+        # snapshot exactly: from then on every entry this logger appends
+        # past `upto` is a genuine raise over our view, so folding the
+        # slice alone is exact.  Plain-vector acks (or a mismatch) drop
+        # any previous adoption.
+        if type(stable_vector) is ElAck and v == stable_vector.data:
+            self._ack_src = stable_vector.src
+            self._ack_pos = stable_vector.upto
+        else:
+            self._ack_src = None
+
+    def _refloor_fresh(self) -> int:
+        """Prune the sequences created since the last ack to their stable
+        clocks; returns the number of determinants dropped."""
+        dropped = 0
+        vget = self._sv.get
+        seqs = self.seqs
+        live = self._live
+        for c in self._fresh_prune:
+            seq = seqs[c]
+            dropped += seq.prune_upto(vget(c, 0))
+            if seq._offset >= len(seq._clocks):
+                live.pop(c, None)
+        self._fresh_prune = []
+        self._fresh_set.clear()
+        return dropped
 
     # ------------------------------------------------------------------ #
     # recovery / checkpoint
@@ -520,19 +472,17 @@ class VcausalProtocol(VProtocol):
         return sum(len(s) for s in self.seqs.values())
 
     def export_state(self) -> dict[str, Any]:
-        if self._fastack:
-            # flush the lazily deferred floor raises (empty windows the
-            # journal fold skipped) so checkpoint images are identical to
-            # the reference path's; fresh sequences keep their creation
-            # floor, exactly as the reference does until the next ack
-            sget = self._sv.get
-            fresh_set = self._fresh_set
-            for c, seq in self.seqs.items():
-                if c not in fresh_set:
-                    f = sget(c, 0)
-                    if f > seq.pruned_upto:
-                        seq.pruned_upto = f
+        # flush the lazily deferred floor raises (empty windows the
+        # journal fold skipped) so checkpoint images carry exact floors;
+        # fresh sequences keep their creation floor until the next ack
         sv = self._sv
+        sget = sv.get
+        fresh_set = self._fresh_set
+        for c, seq in self.seqs.items():
+            if c not in fresh_set:
+                f = sget(c, 0)
+                if f > seq.pruned_upto:
+                    seq.pruned_upto = f
         return {
             "seqs": {c: s.export_state() for c, s in self.seqs.items()},
             "channel_bound": {

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.simulator.process import Future
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cluster import Cluster
-    from repro.runtime.daemon import Vdaemon, WireMessage
+    from repro.runtime.daemon import Vdaemon
 
 #: wildcard source / tag (MPI_ANY_SOURCE / MPI_ANY_TAG)
 ANY_SOURCE = -1
@@ -61,7 +61,18 @@ class RecvRequest:
 
 
 class MpiContext:
-    """One rank's MPI world (mpi4py-flavoured, generator-based)."""
+    """One rank's MPI world (mpi4py-flavoured, generator-based).
+
+    ``send(dst, nbytes, tag=0, payload=None)`` — generator, blocking
+    (buffered) send returning the assigned ssn — and ``isend`` (same cost
+    model, since sends complete at local injection) are instance
+    attributes: the compiled send path cluster wiring installs, which is
+    also what delivers into ``_queue`` / ``_pending`` on the receive side
+    (:mod:`repro.runtime.fastpath`).
+    """
+
+    send: Callable[..., Any]
+    isend: Callable[..., Any]
 
     def __init__(self, cluster: "Cluster", rank: int, daemon: "Vdaemon"):
         self.cluster = cluster
@@ -81,10 +92,8 @@ class MpiContext:
         self._pending: list[_PendingRecv] = []
         self._coll_seq = 0
 
-        daemon.deliver_to_app = self._on_delivery
-
     # ------------------------------------------------------------------ #
-    # delivery / matching
+    # matching
 
     @staticmethod
     def _matches(source: int, tag: int, msg: ReceivedMessage) -> bool:
@@ -92,34 +101,8 @@ class MpiContext:
             tag == ANY_TAG or tag == msg.tag
         )
 
-    def _on_delivery(self, wire: "WireMessage") -> None:
-        msg = ReceivedMessage(
-            src=wire.src,
-            tag=wire.tag,
-            nbytes=wire.nbytes,
-            payload=wire.payload,
-            ssn=wire.ssn,
-        )
-        for i, pending in enumerate(self._pending):
-            if self._matches(pending.source, pending.tag, msg):
-                del self._pending[i]
-                pending.future.resolve(msg)
-                return
-        self._queue.append(msg)
-
     # ------------------------------------------------------------------ #
     # point to point
-
-    def send(self, dst: int, nbytes: int, tag: int = 0, payload: Any = None):
-        """Generator: blocking (buffered) send."""
-        ssn = yield from self.daemon.app_send(dst, nbytes, tag=tag, payload=payload)
-        return ssn
-
-    def isend(self, dst: int, nbytes: int, tag: int = 0, payload: Any = None):
-        """Generator: non-blocking send (identical cost model to send,
-        since sends complete at local injection)."""
-        ssn = yield from self.daemon.app_send(dst, nbytes, tag=tag, payload=payload)
-        return ssn
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: blocking receive; returns a ReceivedMessage."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.distributed_el import EventLoggerGroup, shard_host, shard_partition
+from repro.core.distributed_el import EventLoggerGroup, shard_host
 from repro.metrics.probes import ClusterProbes
 from repro.mpi.api import MpiContext
 from repro.runtime.checkpoint_server import CKPT_HOST, CheckpointServer
@@ -34,15 +34,10 @@ from repro.runtime.config import STACKS, ClusterConfig, StackSpec
 from repro.runtime.daemon import Vdaemon
 from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.failure import FaultPlan
-from repro.runtime.fastpath import install_fastpath
+from repro.runtime.fastpath import install_delivery
 from repro.runtime.retry import RetryChannel, RetryPolicy, RetryStats
 from repro.simulator.engine import Simulator, make_simulator
 from repro.simulator.network import Network
-from repro.simulator.partition import (
-    PartitionedSimulator,
-    derive_lookahead,
-    partition_of_rank,
-)
 from repro.simulator.process import SimProcess
 from repro.simulator.rng import SeedSequenceStream
 
@@ -95,36 +90,7 @@ class Cluster:
         self.spec: StackSpec = STACKS[stack] if isinstance(stack, str) else stack
         self.config = config if config is not None else ClusterConfig()
         self.seeds = SeedSequenceStream(seed)
-        # a partitioned cluster shards the ranks into contiguous blocks
-        # advanced inside conservative windows whose width is the minimum
-        # cross-partition link latency (see repro.simulator.partition);
-        # more partitions than ranks would leave empty blocks
-        self.partitions = min(self.config.partition_ranks, nprocs)
-        # multiprocess backend: W shared-nothing workers, each owning a
-        # contiguous block of the partitions (capped — more workers than
-        # partitions would idle); 0 keeps the in-process window loop
-        self.partition_workers = (
-            min(self.config.partition_workers, self.partitions)
-            if self.partitions
-            else 0
-        )
-        if self.partition_workers:
-            # the worker facade must be in place at wiring time so every
-            # SerialDrain built below registers with it (the cluster is
-            # wired once in the parent, then forked per worker)
-            from repro.hostexec.sim import WorkerSimulator
-
-            self.sim: Simulator = WorkerSimulator(
-                self.partitions,
-                derive_lookahead(self.config),
-                coalesce=self.config.engine_coalesce,
-            )
-        else:
-            self.sim = make_simulator(
-                coalesce=self.config.engine_coalesce,
-                partitions=self.partitions,
-                lookahead_s=derive_lookahead(self.config) if self.partitions else 0.0,
-            )
+        self.sim: Simulator = make_simulator(coalesce=self.config.engine_coalesce)
         self.network = Network(
             self.sim,
             bandwidth_bps=self.config.bandwidth_bps,
@@ -143,24 +109,6 @@ class Cluster:
         self.network.attach(
             CKPT_HOST, bandwidth_bps=self.config.checkpoint_server_bandwidth_bps
         )
-        if self.partitions:
-            # pin every host to its partition: ranks in contiguous blocks,
-            # each EL shard with the block of its lowest creator rank, the
-            # checkpoint server with block 0 (stable servers talk to all
-            # partitions; the (time, seq) merge keeps any placement
-            # bit-identical — pinning only shapes the exchange traffic)
-            sim = self.sim
-            assert isinstance(sim, PartitionedSimulator)
-            for r in range(nprocs):
-                sim.register_host(
-                    self.host_of(r), partition_of_rank(r, nprocs, self.partitions)
-                )
-            if self.spec.event_logger:
-                for k in range(self.config.el_count):
-                    sim.register_host(
-                        shard_host(k), shard_partition(k, nprocs, self.partitions)
-                    )
-            sim.register_host(CKPT_HOST, 0)
 
         self.probes = ClusterProbes()
         self.event_logger: Optional[EventLoggerGroup] = (
@@ -194,11 +142,9 @@ class Cluster:
             daemon = Vdaemon(self, r, self.spec, self.config, self.probes.rank(r))
             self.daemons[r] = daemon
             self.contexts[r] = MpiContext(self, r, daemon)
-        if self.config.delivery_fastpath:
-            # compile per-endpoint fused delivery closures and swap them
-            # in at the wire_sink / ctx.send seams (bit-identical to the
-            # layered reference path; see runtime/fastpath.py)
-            install_fastpath(self)
+        # compile the per-rank send / reception / hand-to-app / EL-post
+        # closures now that both ends of every seam exist
+        install_delivery(self)
 
         if self.event_logger is not None:
             self.event_logger.active_check = lambda: not self.finished
@@ -231,9 +177,6 @@ class Cluster:
         self.finished_ranks: set[int] = set()
         self.results: dict[int, Any] = {}
         self.completion_time: Optional[float] = None
-        #: per-rank app exit times; the hostexec driver takes the max
-        #: across workers to reconstruct the global completion time
-        self._exit_times: dict[int, float] = {}
         self._started = False
 
     # ------------------------------------------------------------------ #
@@ -253,20 +196,8 @@ class Cluster:
         if self._started:
             raise RuntimeError("cluster already started")
         self._started = True
-        if self.partitions:
-            # bootstrap each rank's first events inside its own partition
-            # store; scheduler/fault-plan timers stay in partition 0
-            sim = self.sim
-            assert isinstance(sim, PartitionedSimulator)
-            for r in range(self.nprocs):
-                sim.enter_partition(
-                    partition_of_rank(r, self.nprocs, self.partitions)
-                )
-                self._make_app_proc(r, None, None).start()
-            sim.enter_partition(0)
-        else:
-            for r in range(self.nprocs):
-                self._make_app_proc(r, None, None).start()
+        for r in range(self.nprocs):
+            self._make_app_proc(r, None, None).start()
         self.scheduler.start()
         if self.fault_plan is not None:
             self.fault_plan.install(self.sim, self)
@@ -298,7 +229,6 @@ class Cluster:
     def _on_app_exit(self, rank: int, result: Any) -> None:
         self.results[rank] = result
         self.finished_ranks.add(rank)
-        self._exit_times[rank] = self.sim.now
         if self.finished and self.completion_time is None:
             self.completion_time = self.sim.now
 
@@ -371,12 +301,6 @@ class Cluster:
         max_events: Optional[int] = None,
     ) -> RunResult:
         """Start (if needed) and run to completion (or ``until``)."""
-        if self.partition_workers:
-            # shared-nothing multiprocess backend: fork one worker per
-            # partition block and drive the window barriers over pipes
-            from repro.hostexec.driver import run_multiprocess
-
-            return run_multiprocess(self, until=until, max_events=max_events)
         if not self._started:
             self.start()
         self.sim.run(until=until, max_events=max_events)

@@ -118,53 +118,6 @@ class ClusterConfig:
     engine_coalesce: bool = True
 
     # ---------------------------------------------------------------- #
-    # Partitioned conservative-window simulation (repro.simulator.
-    # partition).  ``partition_ranks = K > 0`` shards the ranks into K
-    # contiguous blocks, each advanced in its own engine store inside
-    # conservative time windows of width ``network_latency_s`` (the
-    # minimum cross-partition link latency), with cross-partition
-    # messages exchanged at window barriers and merged in global
-    # ``(time, seq)`` order — probes, checksums and ``sim_time`` are
-    # bit-identical to the single-engine run (property-tested in
-    # tests/test_partition_conformance.py).  0 (default) keeps the
-    # verbatim single-engine path.
-    partition_ranks: int = 0
-
-    # ---------------------------------------------------------------- #
-    # Multiprocess partition execution (repro.hostexec).
-    # ``partition_workers = W > 0`` forks W shared-nothing worker
-    # processes (capped at the partition count), each advancing a
-    # contiguous block of the ``partition_ranks`` partitions through the
-    # same conservative windows; cross-partition messages travel over
-    # pipes at window barriers through a deterministic codec, and a
-    # driver-side replay of each window's event journal reassigns the
-    # global sequence numbers, so results, probes and checksums stay
-    # bit-identical to both ``partition_workers=0`` (the in-process
-    # window loop, kept verbatim) and the single engine.  Requires
-    # ``partition_ranks > 0``; the supported envelope (no fault plans,
-    # no checkpoints, full-duplex NICs, ``el_count <= 1``) is validated
-    # at run start.  0 (default) never forks.
-    partition_workers: int = 0
-
-    # ---------------------------------------------------------------- #
-    # Per-message delivery dispatch.  True (default) compiles, at cluster
-    # wiring time, per-(protocol, channel) fused delivery closures: the
-    # send pipeline (piggyback build -> cost charge -> wire) and the
-    # receive pipeline (NIC delivery -> daemon accept -> protocol accept ->
-    # MPI matching -> process resume) each become one flat closure that
-    # binds its reset-stable hot state once, instead of the 6-8 method
-    # frames per message of the layered stack; the EL ack path rides an
-    # append-only stable-advance journal so each ack folds only the
-    # entries that actually moved.  This is a *host wall-clock*
-    # optimisation: every engine scheduling call is issued in the same
-    # order with the same timestamps, so all simulated results are
-    # bit-identical to the layered path (property-tested in
-    # tests/test_dispatch_fastpath.py).  False keeps the layered
-    # reference implementation for A/B benchmarking
-    # (``benchmarks/perf/run_bench.py`` records both).
-    delivery_fastpath: bool = True
-
-    # ---------------------------------------------------------------- #
     # Compute node (AthlonXP 2800+ effective throughput on NAS kernels)
     node_flops: float = 320e6
 
@@ -256,19 +209,6 @@ class ClusterConfig:
             )
         if self.fault_domains < 0:
             raise ValueError(f"fault_domains must be >= 0, got {self.fault_domains!r}")
-        if self.partition_ranks < 0:
-            raise ValueError(
-                f"partition_ranks must be >= 0, got {self.partition_ranks!r}"
-            )
-        if self.partition_workers < 0:
-            raise ValueError(
-                f"partition_workers must be >= 0, got {self.partition_workers!r}"
-            )
-        if self.partition_workers > 0 and self.partition_ranks == 0:
-            raise ValueError(
-                "partition_workers requires partition_ranks > 0 "
-                f"(got partition_workers={self.partition_workers!r})"
-            )
         if self.rpc_timeout_s < 0:
             raise ValueError(f"rpc_timeout_s must be >= 0, got {self.rpc_timeout_s!r}")
         if self.rpc_backoff_base_s < 0:

@@ -29,18 +29,13 @@ determinant order until it reaches the pre-crash state; the MPI process
 re-executes on top, re-generating identical sends which receivers
 de-duplicate by (sender, ssn).
 
-Partitioned runs (``partition_ranks > 0``,
-:mod:`repro.simulator.partition`): every *timed* cross-rank interaction
-of the daemon flows
-through ``network.transfer`` — the single seam the conservative-window
-exchange intercepts.  The remaining direct cross-rank calls
-(``peer_died`` / ``on_peer_restarted`` fan-outs, dispatcher
-notifications, checkpoint-commit bookkeeping) are synchronous
-shared-state updates executed *inside* the event that triggers them;
-under the facade's global ``(time, seq)`` merge every event still
-executes at exactly its single-engine position, so these shared-state
-seams observe the same daemon states in the same order as the
-single-engine run and need no exchange routing.
+The per-message path itself — send, fresh reception, hand-to-app and the
+Event Logger post — is compiled into per-rank closures at cluster wiring
+time (:mod:`repro.runtime.fastpath`) and installed on this object's
+``wire_sink`` / ``hand_to_app`` / ``el_log_send`` slots.  What lives here
+is the state those closures act on and everything off the per-message
+path: control messages, checkpoints, failure handling, recovery and the
+replay engine.
 """
 
 from __future__ import annotations
@@ -87,11 +82,12 @@ class Vdaemon:
 
     __slots__ = (
         "cluster", "sim", "network", "rank", "spec", "config", "probes",
-        "host", "wire_sink", "protocol", "sender_log", "alive", "clock", "ssn_next",
+        "host", "wire_sink", "hand_to_app", "el_log_send", "protocol",
+        "sender_log", "alive", "clock", "ssn_next",
         "last_ssn", "_proc_busy_until", "_recv_drain", "_plan_send",
-        "_recv_delay_cache", "deliver_to_app", "trace_sink", "in_replay",
+        "_recv_delay_cache", "trace_sink", "in_replay",
         "recovering", "_replay_dets", "_replay_idx", "_replay_buffer",
-        "_fresh_buffer", "_resend_floor", "_stability_waiters",
+        "_resend_floor", "_stability_waiters",
         "_ckpt_pending", "last_ckpt_clock", "_pending_event_replies",
         "_recovery_proc", "current_recovery",
     )
@@ -127,22 +123,23 @@ class Vdaemon:
         # The single-threaded daemon finishes receptions in strictly
         # increasing _proc_busy_until order, so on a coalescing engine the
         # whole receive pipeline rides one SerialDrain timer instead of
-        # one heap entry per _hand_to_app (None = reference path).
+        # one heap entry per hand-to-app (None = reference path).
         self._recv_drain: Optional[SerialDrain] = (
             SerialDrain(self.sim) if self.sim.coalesced else None
         )
         self._plan_send = PlanSelector(config)
-        #: wire-delivery entry point peers address.  Defaults to the
-        #: layered :meth:`on_wire`; cluster wiring rebinds it to a fused
-        #: per-daemon delivery closure when ``config.delivery_fastpath``
-        #: is on (see runtime/fastpath.py).  Senders resolve it through
-        #: the daemon at send time, so the rebind is a pure seam swap.
-        self.wire_sink: Callable[[WireMessage], None] = self.on_wire
+        # The compiled delivery closures, installed by cluster wiring
+        # (runtime/fastpath.py) once the MPI contexts exist:
+        #: wire-delivery entry point peers address (reception)
+        self.wire_sink: Callable[[WireMessage], None]
+        #: continuation after the daemon's service delay (MPI matching)
+        self.hand_to_app: Callable[[WireMessage], None]
+        #: ship a tuple of determinants to this rank's EL shard; None
+        #: when the stack has no Event Logger
+        self.el_log_send: Optional[Callable[[tuple], None]]
         #: nbytes -> receive-side base delay (pure in nbytes given config)
         self._recv_delay_cache: dict[int, float] = {}
 
-        #: callback into the MPI matching layer; set by MpiContext
-        self.deliver_to_app: Optional[Callable[[WireMessage], None]] = None
         #: lifecycle recorder (time_s, kind, rank, detail); set by
         #: metrics.trace.Timeline.attach — None means tracing is off
         self.trace_sink: Optional[Callable[[float, str, int, str], None]] = None
@@ -154,7 +151,6 @@ class Vdaemon:
         self._replay_dets: list[Determinant] = []
         self._replay_idx = 0
         self._replay_buffer: dict[tuple[int, int], WireMessage] = {}
-        self._fresh_buffer: list[WireMessage] = []
         self._resend_floor: dict[int, int] = {}
 
         # pessimistic stability gating
@@ -190,81 +186,12 @@ class Vdaemon:
         )
 
     # ------------------------------------------------------------------ #
-    # send path (runs inside the application SimProcess)
+    # receive path: what the compiled reception closure calls out to
 
-    def app_send(self, dst: int, nbytes: int, tag: int = 0, payload: Any = None):
-        """Generator: full send path; returns the assigned ssn."""
-        cfg = self.config
-        if self.trace_sink is not None:
-            self.trace_sink(self.sim.now, "send", self.rank, f"-> {dst} ({nbytes} B)")
-        if self.protocol.blocking_on_stability:
-            # pessimistic logging: wait until all own events are stable
-            while getattr(self.protocol, "stability_gap")() > 0:
-                fut = Future(self.sim, f"stability@{self.rank}")
-                self._stability_waiters.append(fut)
-                yield fut
-
-        ssn = self.ssn_next.get(dst, 0) + 1
-        self.ssn_next[dst] = ssn
-
-        # -- stage 1: the MPI stack + the app→daemon pipe crossing --------
-        pre = cfg.mpi_software_latency_s / 2.0
-        if self.spec.daemon:
-            pre += cfg.daemon_overhead_s / 2.0
-            pre += nbytes * 8.0 / cfg.daemon_copy_bandwidth_bps
-        if self.spec.sender_based_logging:
-            self.sender_log.record(dst, ssn, tag, nbytes, payload)
-            self.probes.sender_log_bytes = self.sender_log.bytes_held
-            self.probes.sender_log_messages = self.sender_log.messages_held
-            pre += nbytes * 8.0 / cfg.sender_log_bandwidth_bps
-        if self.is_logging:
-            pre += cfg.logging_fixed_latency_s / 2.0
-        yield pre
-
-        # -- stage 2: the daemon builds the piggyback (after the pipes,
-        #    so EL acks race the software stack, not just the wire) -------
-        pb = self.protocol.build_piggyback(dst)
-        plan = self._plan_send(nbytes)
-
-        self.probes.app_messages_sent += 1
-        self.probes.app_payload_bytes_sent += nbytes
-        self.probes.piggyback_bytes_sent += pb.nbytes
-        self.probes.piggyback_events_sent += pb.n_events
-        self.probes.header_bytes_sent += plan.header_bytes
-        if pb.n_events:
-            self.probes.messages_with_piggyback += 1
-
-        post = pb.build_cost_s + plan.handshake_latency_s
-        if post > 0:
-            yield post
-
-        msg = WireMessage(
-            kind="app",
-            src=self.rank,
-            dst=dst,
-            ssn=ssn,
-            tag=tag,
-            nbytes=nbytes,
-            payload=payload,
-            pb=pb,
-            dep=self.clock,
-            epoch=self.cluster.epoch,
-        )
-        self._wire_to(dst, nbytes + pb.nbytes + plan.header_bytes, msg)
-        return ssn
-
-    # ------------------------------------------------------------------ #
-    # receive path (network delivery callbacks)
-
-    # simlint: hot
-    def on_wire(self, msg: WireMessage) -> None:
-        if msg.epoch != self.cluster.epoch:
-            return  # stale message from before a global restart
-        if not self.alive:
-            return  # dropped; covered by the sender-based log
-        if msg.kind in ("app", "replay"):
-            self._on_app_message(msg)
-        elif msg.kind == "ctl_event_request":
+    def on_ctl(self, msg: WireMessage) -> None:
+        """Dispatch one control message (epoch and liveness already
+        checked by the reception closure)."""
+        if msg.kind == "ctl_event_request":
             self._on_event_request(msg)
         elif msg.kind == "ctl_event_reply":
             self._on_event_reply(msg)
@@ -275,11 +202,19 @@ class Vdaemon:
         else:
             raise SimulationError(f"unknown wire kind {msg.kind!r}")
 
-    def _recv_base_delay(self, msg: WireMessage) -> float:
-        delay = self._recv_delay_cache.get(msg.nbytes)
+    def buffer_for_replay(self, msg: WireMessage) -> None:
+        """An application message arrived while recovering or replaying:
+        hold it until the replay engine asks for its (sender, ssn)."""
+        key = (msg.src, msg.ssn)
+        if key not in self._replay_buffer:
+            self._replay_buffer[key] = msg
+            if self.in_replay:
+                self._pump_replay()
+
+    def _recv_base_delay(self, nbytes: int) -> float:
+        delay = self._recv_delay_cache.get(nbytes)
         if delay is None:
             cfg = self.config
-            nbytes = msg.nbytes
             delay = cfg.mpi_software_latency_s / 2.0
             if self.spec.daemon:
                 delay += cfg.daemon_overhead_s / 2.0
@@ -291,116 +226,8 @@ class Vdaemon:
             self._recv_delay_cache[nbytes] = delay
         return delay
 
-    # simlint: hot
-    def _on_app_message(self, msg: WireMessage) -> None:
-        if self.in_replay or self.recovering:
-            key = (msg.src, msg.ssn)
-            if key not in self._replay_buffer:
-                self._replay_buffer[key] = msg
-                if self.in_replay:
-                    self._pump_replay()
-            return
-        if msg.ssn <= self.last_ssn.get(msg.src, 0):
-            return  # duplicate of an already-delivered message
-        # the single-threaded daemon processes receptions serially
-        start = max(self.sim.now, self._proc_busy_until)
-        # protocol mutations happen in arrival order (== delivery order)
-        pb_cost = self.protocol.accept_piggyback(msg.src, msg.pb, msg.dep)
-        det = self._create_determinant(msg)
-        duration = self._recv_base_delay(msg) + pb_cost
-        ready = start + duration
-        self._proc_busy_until = ready
-        drain = self._recv_drain
-        if drain is not None:
-            drain.enqueue(ready, self._hand_to_app, msg, det)
-        else:
-            self.sim.post(ready, self._hand_to_app, msg, det)
-
-    def _create_determinant(self, msg: WireMessage) -> Optional[Determinant]:
-        self.last_ssn[msg.src] = msg.ssn
-        if not self.is_logging:
-            return None
-        self.clock += 1
-        self.probes.receptions = self.clock
-        det = Determinant(
-            creator=self.rank,
-            clock=self.clock,
-            sender=msg.src,
-            ssn=msg.ssn,
-            dep=msg.dep,
-        )
-        self.protocol.on_local_event(det)
-        if self.spec.event_logger:
-            self._post_to_el(det)
-        return det
-
-    def _hand_to_app(self, msg: WireMessage, det: Optional[Determinant]) -> None:
-        if self.trace_sink is not None:
-            # recorded even for a dead rank: the timeline shows the arrival
-            # the crash swallowed, exactly as the old wrapper did
-            self.trace_sink(
-                self.sim.now, "deliver", self.rank, f"<- {msg.src} ssn={msg.ssn}"
-            )
-        if not self.alive:
-            return
-        if self.deliver_to_app is None:
-            raise SimulationError(f"rank {self.rank}: no MPI endpoint attached")
-        self.deliver_to_app(msg)
-
     # ------------------------------------------------------------------ #
     # Event Logger client
-
-    def _post_to_el(self, det: Determinant) -> None:
-        group = self.cluster.event_logger
-        if group is None:
-            return
-        self.probes.el_events_logged += 1
-        self._el_log_send((det,))
-
-    def _el_log_send(self, dets: tuple) -> None:
-        """Ship one log message to this rank's shard.
-
-        With the retry layer disabled (the default) this is the historical
-        fire-and-forget post.  With it enabled, the ack doubles as the
-        completion signal: a post swallowed by a dead shard times out and
-        is re-sent — the shard is re-resolved per attempt, so the retry
-        lands on the failover owner once the key range has moved.
-        """
-        cfg = self.config
-        group = self.cluster.event_logger
-        nbytes = cfg.el_event_wire_bytes * len(dets)
-        policy = self.cluster.retry_policy
-        if not policy.enabled:
-            shard = group.shard_for(self.rank)
-            self.network.transfer(
-                self.host,
-                shard.host,
-                nbytes,
-                shard.receive_log,
-                args=(self.rank, dets, self._el_ack, self.host),
-            )
-            return
-        channel = self.cluster.rpc_channel("el_log")
-
-        def _attempt(call) -> None:
-            if not self.alive:
-                call.complete()  # crashed client: drop, recovery re-logs
-                return
-            shard = group.shard_for(self.rank)
-
-            def _ack(vector, call=call) -> None:
-                call.complete()
-                self._el_ack(vector)
-
-            self.network.transfer(
-                self.host,
-                shard.host,
-                nbytes,
-                shard.receive_log,
-                args=(self.rank, dets, _ack, self.host),
-            )
-
-        channel.call(_attempt)
 
     def on_el_relog_request(self, clock_after: int) -> None:
         """Failover re-log: the shard that absorbed our key range asks for
@@ -409,10 +236,7 @@ class Vdaemon:
         suffix is rebuilt from the protocol's own causal structures and
         re-posted as one ordinary log message (duplicates are discarded
         by the EL store)."""
-        if not self.alive:
-            return
-        group = self.cluster.event_logger
-        if group is None:
+        if not self.alive or self.el_log_send is None:
             return
         dets = tuple(
             d
@@ -422,7 +246,7 @@ class Vdaemon:
         if not dets:
             return
         self.cluster.probes.el_relogged_determinants += len(dets)
-        self._el_log_send(dets)
+        self.el_log_send(dets)
 
     def el_vector_push(self, stable_vector: list[int]) -> None:
         """Broadcast-strategy stable vector pushed by an EL shard."""
@@ -549,7 +373,6 @@ class Vdaemon:
         self.in_replay = False
         self.recovering = False
         self._replay_buffer.clear()
-        self._fresh_buffer.clear()
         self._replay_dets = []
         self._replay_idx = 0
         for fut in self._stability_waiters:
@@ -573,7 +396,6 @@ class Vdaemon:
         self.alive = True
         self.in_replay = False
         self._replay_buffer.clear()
-        self._fresh_buffer.clear()
         self._replay_dets = []
         self._replay_idx = 0
         self._proc_busy_until = self.sim.now
@@ -585,7 +407,7 @@ class Vdaemon:
         )
         self.protocol.bind(self)
         self.sender_log = SenderLog(self.rank)
-        # the ssn tables are mutated in place: the fused delivery closures
+        # the ssn tables are mutated in place: the delivery closures
         # (runtime/fastpath.py) bind these dicts at wiring time, so their
         # identity must survive a reset
         self.ssn_next.clear()
@@ -823,7 +645,6 @@ class Vdaemon:
             self._finish_replay()
 
     def _deliver_replayed(self, msg: WireMessage, det: Determinant) -> None:
-        cfg = self.config
         start = max(self.sim.now, self._proc_busy_until)
         pb_cost = self.protocol.accept_piggyback(msg.src, msg.pb, msg.dep)
         self.last_ssn[msg.src] = max(self.last_ssn.get(msg.src, 0), msg.ssn)
@@ -831,19 +652,21 @@ class Vdaemon:
         self.probes.receptions = self.clock
         self.probes.replayed_receptions += 1
         self.protocol.on_local_event(det)
-        if self.spec.event_logger:
-            self._post_to_el(det)   # duplicate posts are discarded by the EL
-        duration = self._recv_base_delay(msg) + pb_cost
+        if self.el_log_send is not None:
+            # duplicate posts are discarded by the EL
+            self.probes.el_events_logged += 1
+            self.el_log_send((det,))
+        duration = self._recv_base_delay(msg.nbytes) + pb_cost
         ready = start + duration
         self._proc_busy_until = ready
         drain = self._recv_drain
         if drain is not None:
-            drain.enqueue(ready, self._hand_to_app, msg, det)
+            drain.enqueue(ready, self.hand_to_app, msg)
         else:
-            self.sim.post(ready, self._hand_to_app, msg, det)
+            self.sim.post(ready, self.hand_to_app, msg)
 
     def _finish_replay(self) -> None:
-        if not self.in_replay and not self._fresh_buffer and not self._replay_buffer:
+        if not self.in_replay and not self._replay_buffer:
             return
         self.in_replay = False
         if self.current_recovery is not None:
@@ -853,7 +676,4 @@ class Vdaemon:
         leftovers = sorted(self._replay_buffer.items())
         self._replay_buffer.clear()
         for _key, msg in leftovers:
-            self._on_app_message(msg)
-        for msg in self._fresh_buffer:
-            self._on_app_message(msg)
-        self._fresh_buffer.clear()
+            self.wire_sink(msg)

@@ -1,35 +1,39 @@
-"""Wiring-time compiled delivery fast paths.
+"""The per-message delivery path, compiled at cluster wiring time.
 
-At cluster wiring time, :func:`install_fastpath` compiles, for every
-(protocol, channel endpoint) pair, the send and the receive pipeline into
-one flat closure each and swaps them in at two seams:
+:func:`install_delivery` builds, for every rank, one flat closure per
+stage of the message path and installs it at the seam peers and
+applications address:
 
-* ``daemon.wire_sink`` — what peers' NIC transfers call on delivery.  The
-  fused receive closure inlines the layered chain
-  ``on_wire → _on_app_message → _create_determinant → _recv_base_delay``
-  and its continuation ``_hand_to_app → MpiContext._on_delivery`` into
-  two closures (pre-/post- the daemon service delay) that bind the hot
-  state once instead of re-resolving 6 frames of attribute lookups per
-  message.
-* ``ctx.send`` / ``ctx.isend`` — instance attributes shadowing the class
-  methods (``sendrecv`` and the collectives resolve ``self.send``, so
-  they pick the fused path up transparently).  The fused send inlines
-  ``MpiContext.send → Vdaemon.app_send`` with a per-``nbytes`` cache of
-  the stage-1 software latency (pure in ``nbytes`` given the config).
+* **send** — ``ctx.send`` / ``ctx.isend`` (identical semantics: sends
+  complete at local injection; ``sendrecv`` and the collectives resolve
+  ``self.send``).  Runs inside the application process: sequence number,
+  the MPI-stack + pipe-crossing latency, piggyback build, the wire.
+* **reception** — ``daemon.wire_sink``, what peers' NIC transfers call on
+  delivery.  Drops stale-epoch and dead-rank traffic, routes control
+  messages to :meth:`Vdaemon.on_ctl` and replay-time arrivals to
+  :meth:`Vdaemon.buffer_for_replay`, and for a fresh application message
+  de-duplicates, accepts the piggyback, assigns the reception sequence
+  number, creates and logs the determinant, and books the single-threaded
+  daemon's service delay.
+* **hand to app** — ``daemon.hand_to_app``, the continuation after that
+  delay: MPI matching against the context's pending receives.
+* **EL post** — ``daemon.el_log_send``, one log message to the rank's
+  Event Logger shard (fire-and-forget, or timed out and retried when the
+  retry layer is on).
 
-The compiled closures are a *host-side* representation change only: they
-issue exactly the same engine calls (``sim.post`` / drain enqueues /
-``network.transfer``) with exactly the same timestamps, in exactly the
-same order, as the layered reference path — the float additions that
-build each delay are performed in the identical order, since ``a+b+c``
-and ``a+(b+c)`` differ in IEEE-754.  Everything the reference path reads
-per message (protocol object, clocks, ssn tables, liveness, epoch,
-replay flags, trace sink) is read dynamically by the closures too, so a
-``hard_reset`` mid-run needs no recompilation.  Anything off the hot
-path — control messages, replay, tracing, a re-pointed
-``deliver_to_app`` — falls back to the layered implementation, which
-stays the reference for the differential suite
-(``tests/test_dispatch_fastpath.py``) and A/B benchmarking.
+These closures are the only implementation of their stage; the daemon's
+replay engine re-enters them (``_deliver_replayed`` books ``hand_to_app``
+and calls ``el_log_send``, ``_finish_replay`` re-submits leftovers
+through ``wire_sink``).  Each binds its reset-stable state once — probes,
+config constants, the ssn tables (mutated in place by ``hard_reset``) —
+and reads everything a restart replaces (protocol object, clocks,
+liveness, epoch, replay flags, trace sink) dynamically, so a
+``hard_reset`` mid-run needs no recompilation.
+
+Recorded checksums depend on the float-addition order of each delay
+(``a+b+c`` and ``a+(b+c)`` differ in IEEE-754): the send-side latency is
+accumulated term by term in the order written below, and a reception
+completes at ``start + (base_delay + pb_cost)``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.events import Determinant
 from repro.mpi.api import ANY_SOURCE, ANY_TAG, ReceivedMessage
 from repro.runtime.daemon import WireMessage
+from repro.simulator.process import Future
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.api import MpiContext
@@ -46,34 +51,32 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.daemon import Vdaemon
 
 
-def install_fastpath(cluster: "Cluster") -> None:
-    """Compile and install fused delivery closures on every endpoint.
+def install_delivery(cluster: "Cluster") -> None:
+    """Compile and install the delivery closures on every endpoint.
 
     Called once from ``Cluster.__init__`` after daemons and MPI contexts
-    are wired (gated on ``config.delivery_fastpath``).
+    are wired, before any traffic flows.
     """
     for rank, daemon in cluster.daemons.items():
         ctx = cluster.contexts[rank]
-        daemon.wire_sink = _compile_recv_path(cluster, daemon, ctx)
-        send = _compile_send_path(cluster, daemon)
-        ctx.send = send
-        ctx.isend = send
+        daemon.el_log_send = _compile_el_log_send(cluster, daemon)
+        daemon.hand_to_app = _compile_hand_to_app(daemon, ctx)
+        # reception binds the two closures installed just above
+        daemon.wire_sink = _compile_reception(cluster, daemon)
+        ctx.send = ctx.isend = _compile_send(cluster, daemon)
 
 
-def _compile_recv_path(
-    cluster: "Cluster", d: "Vdaemon", ctx: "MpiContext"
+def _compile_reception(
+    cluster: "Cluster", d: "Vdaemon"
 ) -> Callable[[WireMessage], None]:
-    """One flat closure replacing the per-message receive method chain."""
     sim = d.sim
     probes = d.probes
     rank = d.rank
     is_logging = d.is_logging
     drain = d._recv_drain
     delay_cache = d._recv_delay_cache
-    layered_on_wire = d.on_wire
-    layered_accept = d._on_app_message
-    hand = _compile_hand_to_app(d, ctx)
-    post_el = _compile_el_post(cluster, d) if d.spec.event_logger else None
+    hand = d.hand_to_app
+    el_log_send = d.el_log_send
     last_ssn = d.last_ssn
     last_ssn_get = last_ssn.get
     # the drain's in-order append (the overwhelmingly common case) is
@@ -82,16 +85,17 @@ def _compile_recv_path(
     drain_enqueue = drain.enqueue if drain is not None else None
 
     # simlint: hot
-    def fused_on_wire(msg: WireMessage) -> None:
-        if msg.kind != "app":
-            layered_on_wire(msg)  # ctl / replay traffic: off the hot path
-            return
+    def on_wire(msg: WireMessage) -> None:
         if msg.epoch != cluster.epoch:
             return  # stale message from before a global restart
         if not d.alive:
             return  # dropped; covered by the sender-based log
+        kind = msg.kind
+        if kind != "app" and kind != "replay":
+            d.on_ctl(msg)
+            return
         if d.in_replay or d.recovering:
-            layered_accept(msg)  # buffers + pumps replay
+            d.buffer_for_replay(msg)
             return
         src = msg.src
         ssn = msg.ssn
@@ -106,7 +110,6 @@ def _compile_recv_path(
         protocol = d.protocol
         pb_cost = protocol.accept_piggyback(src, msg.pb, msg.dep)
         last_ssn[src] = ssn
-        det: Optional[Determinant] = None
         if is_logging:
             clock = d.clock + 1
             d.clock = clock
@@ -115,11 +118,12 @@ def _compile_recv_path(
                 creator=rank, clock=clock, sender=src, ssn=ssn, dep=msg.dep
             )
             protocol.on_local_event(det)
-            if post_el is not None:
-                post_el(det)
+            if el_log_send is not None:
+                probes.el_events_logged += 1
+                el_log_send((det,))
         delay = delay_cache.get(msg.nbytes)
         if delay is None:
-            delay = d._recv_base_delay(msg)
+            delay = d._recv_base_delay(msg.nbytes)
         ready = start + (delay + pb_cost)
         d._proc_busy_until = ready
         if drain_pending is not None:
@@ -127,36 +131,29 @@ def _compile_recv_path(
             # next engine seq and join the armed queue's tail
             if drain_pending and ready >= drain_pending[-1][0]:
                 sim._seq = seq = sim._seq + 1
-                entry = [ready, seq, hand, (msg, det)]
-                claim_log = sim._claim_log
-                if claim_log is not None:
-                    claim_log.append(entry)
-                drain_pending.append(entry)
+                drain_pending.append([ready, seq, hand, (msg,)])
             else:
-                drain_enqueue(ready, hand, msg, det)
+                drain_enqueue(ready, hand, msg)
         else:
-            sim.post(ready, hand, msg, det)
+            sim.post(ready, hand, msg)
 
-    return fused_on_wire
+    return on_wire
 
 
 def _compile_hand_to_app(
     d: "Vdaemon", ctx: "MpiContext"
-) -> Callable[[WireMessage, Optional[Determinant]], None]:
-    """Fused ``_hand_to_app → MpiContext._on_delivery`` continuation."""
-    layered_hand = d._hand_to_app
-    # the one deliver_to_app instance MpiContext.__init__ installed; a
-    # test (or future endpoint) re-pointing the seam demotes us to an
-    # indirect call through whatever is installed now
-    mpi_deliver = d.deliver_to_app
+) -> Callable[[WireMessage], None]:
+    sim = d.sim
+    rank = d.rank
 
     # simlint: hot
-    def fused_hand(msg: WireMessage, det: Optional[Determinant]) -> None:
-        if d.trace_sink is not None or not d.alive:
-            layered_hand(msg, det)  # timeline record / dead-rank swallow
-            return
-        if d.deliver_to_app is not mpi_deliver:
-            layered_hand(msg, det)
+    def hand_to_app(msg: WireMessage) -> None:
+        trace = d.trace_sink
+        if trace is not None:
+            # recorded even for a dead rank: the timeline shows the
+            # arrival the crash swallowed
+            trace(sim.now, "deliver", rank, f"<- {msg.src} ssn={msg.ssn}")
+        if not d.alive:
             return
         m = ReceivedMessage(
             src=msg.src,
@@ -180,59 +177,65 @@ def _compile_hand_to_app(
                     return
         ctx._queue.append(m)
 
-    return fused_hand
+    return hand_to_app
 
 
-def _compile_el_post(
+def _compile_el_log_send(
     cluster: "Cluster", d: "Vdaemon"
-) -> Optional[Callable[[Determinant], None]]:
-    """Fused single-determinant ``_post_to_el → _el_log_send`` (the
-    fire-and-forget default; the retry layer keeps the layered path)."""
+) -> Optional[Callable[[tuple[Determinant, ...]], None]]:
+    """Ship one log message to this rank's shard (None without an EL).
+
+    With the retry layer disabled (the default) this is the paper's
+    fire-and-forget post.  With it enabled, the ack doubles as the
+    completion signal: a post swallowed by a dead shard times out and is
+    re-sent.  Either way the shard is resolved per attempt, so a post
+    lands on the failover owner once the key range has moved.  Only the
+    retry wrapper passes ``ack`` (its per-call completion hook).
+    """
     group = cluster.event_logger
     if group is None:
         return None
-    probes = d.probes
-    if cluster.retry_policy.enabled:
-        layered_send = d._el_log_send
-
-        # simlint: hot
-        def retry_post(det: Determinant) -> None:
-            probes.el_events_logged += 1
-            layered_send((det,))
-
-        return retry_post
-    network = d.network
+    transfer = d.network.transfer
     host = d.host
-    nbytes = d.config.el_event_wire_bytes
-    shard_for = group.shard_for
-    el_ack = d._el_ack
     rank = d.rank
+    wire_bytes = d.config.el_event_wire_bytes
+    shard_for = group.shard_for
 
     # simlint: hot
-    def fused_post(det: Determinant) -> None:
-        probes.el_events_logged += 1
+    def el_log_send(dets: tuple[Determinant, ...], ack=d._el_ack) -> None:
         shard = shard_for(rank)
-        network.transfer(
+        transfer(
             host,
             shard.host,
-            nbytes,
+            wire_bytes * len(dets),
             shard.receive_log,
-            args=(rank, (det,), el_ack, host),
+            args=(rank, dets, ack, host),
         )
 
-    return fused_post
+    if not cluster.retry_policy.enabled:
+        return el_log_send
+
+    def el_log_send_retried(dets: tuple[Determinant, ...]) -> None:
+        def _attempt(call) -> None:
+            if not d.alive:
+                call.complete()  # crashed client: drop, recovery re-logs
+                return
+
+            def _ack(vector, call=call) -> None:
+                call.complete()
+                d._el_ack(vector)
+
+            el_log_send(dets, _ack)
+
+        cluster.rpc_channel("el_log").call(_attempt)
+
+    return el_log_send_retried
 
 
-def _compile_send_path(cluster: "Cluster", d: "Vdaemon"):
-    """Fused ``MpiContext.send → Vdaemon.app_send`` generator.
-
-    Installed as an *instance* attribute on the context, shadowing both
-    ``send`` and ``isend`` (identical semantics: sends complete at local
-    injection), so ``sendrecv`` and the collectives — which resolve
-    ``self.send`` — inherit it without changes.
-    """
+def _compile_send(cluster: "Cluster", d: "Vdaemon"):
     cfg = d.config
     spec = d.spec
+    sim = d.sim
     network = d.network
     probes = d.probes
     rank = d.rank
@@ -240,24 +243,29 @@ def _compile_send_path(cluster: "Cluster", d: "Vdaemon"):
     daemons = cluster.daemons
     host_of = cluster.host_of
     plan_select = d._plan_send
-    layered_send = d.app_send
     slog = spec.sender_based_logging
     is_logging = d.is_logging
     blocking = d.protocol.blocking_on_stability  # class attr: reset-stable
     ssn_next = d.ssn_next
     ssn_next_get = ssn_next.get
-    #: nbytes -> stage-1 latency (pure in nbytes given config and spec;
-    #: computed once by the exact reference float-addition order)
+    #: nbytes -> stage-1 latency (pure in nbytes given config and spec)
     pre_cache: dict[int, float] = {}
     #: dst -> (dst host, dst wire sink): daemons are never replaced, and
-    #: the sink seam is installed before any traffic flows
+    #: the sinks are installed before any traffic flows
     dst_cache: dict[int, tuple] = {}
 
     # simlint: hot
-    def fused_send(dst: int, nbytes: int, tag: int = 0, payload=None):
-        if d.trace_sink is not None or blocking:
-            ssn = yield from layered_send(dst, nbytes, tag=tag, payload=payload)
-            return ssn
+    def send(dst: int, nbytes: int, tag: int = 0, payload=None):
+        """Generator: full send path; returns the assigned ssn."""
+        trace = d.trace_sink
+        if trace is not None:
+            trace(sim.now, "send", rank, f"-> {dst} ({nbytes} B)")
+        if blocking:
+            # pessimistic logging: wait until all own events are stable
+            while getattr(d.protocol, "stability_gap")() > 0:
+                fut = Future(sim, f"stability@{rank}")
+                d._stability_waiters.append(fut)
+                yield fut
 
         ssn = ssn_next_get(dst, 0) + 1
         ssn_next[dst] = ssn
@@ -281,7 +289,8 @@ def _compile_send_path(cluster: "Cluster", d: "Vdaemon"):
             probes.sender_log_messages = sender_log.messages_held
         yield pre
 
-        # -- stage 2: the daemon builds the piggyback -------------------
+        # -- stage 2: the daemon builds the piggyback (after the pipes,
+        #    so EL acks race the software stack, not just the wire) -----
         pb = d.protocol.build_piggyback(dst)
         plan = plan_select(nbytes)
 
@@ -311,12 +320,11 @@ def _compile_send_path(cluster: "Cluster", d: "Vdaemon"):
         )
         target = dst_cache.get(dst)
         if target is None:
-            dst_daemon = daemons[dst]
-            target = dst_cache[dst] = (host_of(dst), dst_daemon.wire_sink)
+            target = dst_cache[dst] = (host_of(dst), daemons[dst].wire_sink)
         network.transfer(
             host, target[0], nbytes + pb.nbytes + plan.header_bytes, target[1],
             args=(msg,),
         )
         return ssn
 
-    return fused_send
+    return send

@@ -35,8 +35,7 @@ Serial resources (a NIC's RX link, a daemon's receive pipeline, an Event
 Logger's select loop) book strictly increasing completion times, so they
 never need more than one live heap entry: :class:`SerialDrain` keeps their
 pending work in a deque and rides the heap with a single timer re-armed at
-the head entry's *pre-claimed* ``(time, seq)`` slot
-(:meth:`Simulator.claim_seq` / :meth:`Simulator.post_at_seq`), which keeps
+the head entry's *pre-claimed* ``(time, seq)`` slot, which keeps
 execution order bit-identical to scheduling every entry individually while
 dropping heap occupancy from O(queued work) to O(resources).
 
@@ -129,10 +128,6 @@ class Simulator:
 
     #: downstream layers key their coalesced fast paths off this flag
     coalesced = True
-    #: True only on the conservative-window facade
-    #: (:class:`repro.simulator.partition.PartitionedSimulator`); the
-    #: network checks it before routing a delivery through the exchange
-    partitioned = False
 
     __slots__ = (
         "now",
@@ -146,7 +141,6 @@ class Simulator:
         "_extra_events",
         "_blocked_actors",
         "_running",
-        "_claim_log",
     )
 
     def __init__(self, trace: Optional[Callable[[float, str], None]] = None) -> None:
@@ -168,12 +162,6 @@ class Simulator:
         # diagnosed; see DeadlockError.
         self._blocked_actors: dict[Any, str] = {}
         self._running = False
-        # Sequence-claim registry for the multiprocess partition backend
-        # (repro.hostexec): when a worker activates it, every seq claimed
-        # during a window registers the claiming entry here so the barrier
-        # can rewrite provisional sequence numbers to their global slots.
-        # None (the default) costs the claim sites a single is-None check.
-        self._claim_log: Optional[list[list[Any]]] = None
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -295,22 +283,16 @@ class Simulator:
 
     # -- order-exact deferred scheduling (SerialDrain support) ---------- #
 
-    def claim_seq(self) -> int:
-        """Reserve the sequence slot the next scheduled event would get.
-
-        A :class:`SerialDrain` claims the slot when work is *enqueued* and
-        redeems it when its timer is armed, so the timer fires exactly
-        where a per-entry ``post`` at enqueue time would have fired.
-        """
-        self._seq = seq = self._seq + 1
-        return seq
-
     def post_at_seq(self, time: float, seq: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn`` at ``(time, seq)`` for a previously claimed seq.
 
-        The entry is inserted at its seq-sorted position inside the
-        timestamp bucket (buckets are otherwise append-ordered, i.e.
-        seq-ascending, so a short reverse scan finds the slot).  Serial
+        A :class:`SerialDrain` claims the slot when work is *enqueued* and
+        redeems it here when the entry has to ride the engine on its own,
+        so it fires exactly where a per-entry ``post`` at enqueue time
+        would have fired.  The entry is inserted at its seq-sorted
+        position inside the timestamp bucket (buckets are otherwise
+        append-ordered, i.e. seq-ascending, so a short reverse scan finds
+        the slot).  Serial
         resources book strictly increasing completion times, so drain
         timers never target the instant currently being drained; should
         one ever land there it is appended to the now-queue — a sorted
@@ -343,31 +325,6 @@ class Simulator:
         """Count ``n`` extra executions performed inside one engine event
         (a drain that delivered more than its head entry)."""
         self._extra_events += n
-
-    # -- partition seam (real implementation on PartitionedSimulator) --- #
-
-    def is_remote(self, host: str) -> bool:
-        """Would delivering to ``host`` cross a partition?  Never, here."""
-        return False
-
-    def exchange_post(
-        self,
-        dst_host: str,
-        time: float,
-        fn: Callable[..., None],
-        args: tuple[Any, ...],
-    ) -> None:
-        raise SimulationError(
-            "exchange_post on a non-partitioned engine"
-        )  # pragma: no cover - guarded by the `partitioned` flag
-
-    def adopt_drain(self, drain: "SerialDrain") -> None:
-        """Registration hook for :class:`SerialDrain` construction.
-
-        The base engines need no bookkeeping; the multiprocess worker
-        facade (:mod:`repro.hostexec`) overrides this to track every
-        drain so armed timers can be renumbered at window barriers.
-        """
 
     # ------------------------------------------------------------------ #
     # deadlock bookkeeping
@@ -741,23 +698,8 @@ class ReferenceSimulator(Simulator):
 def make_simulator(
     trace: Optional[Callable[[float, str], None]] = None,
     coalesce: bool = True,
-    partitions: int = 0,
-    lookahead_s: float = 0.0,
 ) -> Simulator:
-    """Engine factory keyed by the ``engine_coalesce`` and
-    ``partition_ranks`` cluster knobs.
-
-    ``partitions > 0`` selects the conservative-window facade
-    (:class:`repro.simulator.partition.PartitionedSimulator`) with the
-    given window width; ``partitions == 0`` keeps the verbatim
-    single-store engines.
-    """
-    if partitions > 0:
-        from repro.simulator.partition import PartitionedSimulator
-
-        return PartitionedSimulator(
-            partitions, lookahead_s, trace=trace, coalesce=coalesce
-        )
+    """Engine factory keyed by the ``engine_coalesce`` cluster knob."""
     return Simulator(trace) if coalesce else ReferenceSimulator(trace)
 
 
@@ -784,14 +726,12 @@ class SerialDrain:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        # entries share the engine's [time, seq, fn, args] list layout so
-        # the hostexec claim registry can renumber them in place
+        #: entries share the engine's [time, seq, fn, args] list layout
         self.pending: deque[list[Any]] = deque()
         self.armed = False
         # reusable timer entry: the timer is re-armed only after it fired
         # (its entry left the queue), so one list serves every arming
         self._entry = [0.0, 0, self._drain, ()]
-        sim.adopt_drain(self)
 
     def _arm(self, when: float, seq: int) -> None:
         """Specialized put of the (reused) timer entry at ``(when, seq)``.
@@ -826,9 +766,6 @@ class SerialDrain:
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         entry = [when, seq, fn, args]
-        log = sim._claim_log
-        if log is not None:
-            log.append(entry)
         pending = self.pending
         if pending:
             # the timer is armed at the current head; just join the queue

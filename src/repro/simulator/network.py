@@ -156,7 +156,6 @@ class Network:
         "sim", "bandwidth_bps", "latency_s", "per_message_overhead_bytes",
         "goodput_factor", "nics", "total_messages",
         "total_logical_messages", "total_chunk_messages", "total_bytes",
-        "exchange",
     )
 
     def __init__(
@@ -180,12 +179,6 @@ class Network:
         #: wire messages that belonged to chunked transfers
         self.total_chunk_messages = 0
         self.total_bytes = 0
-        #: hostexec worker seam: when a crossing buffer is installed
-        #: here, every cross-host transfer defers its destination-side
-        #: effects (RX stats, RX reservation, delivery) to the window
-        #: barrier, which replays them in global seq order.  None (the
-        #: default) keeps the verbatim immediate path.
-        self.exchange: Optional[list[list]] = None
 
     # ------------------------------------------------------------------ #
 
@@ -235,14 +228,6 @@ class Network:
             raise SimulationError("negative transfer size")
         src_nic = self.nics[src]
         dst_nic = self.nics[dst]
-        if self.exchange is not None and src != dst:
-            # hostexec worker mode: *every* cross-host delivery (even one
-            # whose destination this worker owns) goes through the
-            # barrier so per-NIC RX reservations happen in global seq
-            # order, exactly as the single engine interleaves them
-            return self._transfer_deferred(
-                src_nic, dst, nbytes, deliver, extra_latency, args, _chunk
-            )
         self.total_messages += 1
         self.total_bytes += nbytes
         src_stats = src_nic.stats
@@ -269,72 +254,14 @@ class Network:
         tx_start, _tx_end = src_nic.reserve_tx(duration)
         earliest_rx = tx_start + self.latency_s + extra_latency
         _rx_start, rx_end = dst_nic.reserve_rx(earliest_rx, duration)
-        sim = self.sim
-        if sim.partitioned and sim.is_remote(dst):
-            # cross-partition delivery: buffered in the exchange with its
-            # seq claimed here (exactly where the drain enqueue below
-            # would have claimed it) and merged at the window barrier;
-            # rx_end >= tx_start + latency_s >= window_end, the
-            # conservative invariant
-            sim.exchange_post(dst, rx_end, deliver, args)
-            return rx_end
         drain = dst_nic.rx_drain
         if drain is not None:
             # rx_end is strictly increasing per NIC (reserve_rx is serial
             # and duration > 0), the SerialDrain precondition
             drain.enqueue(rx_end, deliver, *args)
         else:
-            sim.post(rx_end, deliver, *args)
+            self.sim.post(rx_end, deliver, *args)
         return rx_end
-
-    def _transfer_deferred(
-        self,
-        src_nic: Nic,
-        dst: str,
-        nbytes: int,
-        deliver: Callable[..., None],
-        extra_latency: float,
-        args: tuple,
-        chunk: bool,
-    ) -> float:
-        """Cross-host transfer under the hostexec exchange seam.
-
-        TX-side accounting and the TX reservation happen immediately (the
-        sending host is owned by the executing worker); the global seq is
-        claimed here — exactly where the immediate path's drain enqueue /
-        post would have claimed it — and everything destination-side is
-        packed into a crossing record the window barrier applies in
-        global seq order.  Returns the earliest possible delivery time
-        (a lower bound on the barrier-computed ``rx_end``).
-        """
-        self.total_messages += 1
-        self.total_bytes += nbytes
-        src_stats = src_nic.stats
-        src_stats.messages_sent += 1
-        src_stats.bytes_sent += nbytes
-        if chunk:
-            src_stats.chunks_sent += 1
-        else:
-            self.total_logical_messages += 1
-            src_stats.logical_messages_sent += 1
-        wire_bytes = nbytes + self.per_message_overhead_bytes
-        duration = src_nic.wire_time(wire_bytes)
-        tx_start, _tx_end = src_nic.reserve_tx(duration)
-        earliest_rx = tx_start + self.latency_s + extra_latency
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        # crossing record: [earliest_rx, seq, dst, duration, nbytes,
-        # chunk, deliver, args] — seq at index 1 so the claim registry
-        # renumbers it in place like any engine entry
-        rec: list = [earliest_rx, seq, dst, duration, nbytes, chunk, deliver, args]
-        claim_log = sim._claim_log
-        if claim_log is not None:
-            claim_log.append(rec)
-        exchange = self.exchange
-        if exchange is None:  # pragma: no cover - guarded by the caller
-            raise SimulationError("deferred transfer without an exchange")
-        exchange.append(rec)
-        return earliest_rx
 
     def transfer_chunked(
         self,

@@ -20,7 +20,7 @@ def test_duplicate_ssn_dropped():
     before = d1.clock
     # replay a stale duplicate of the first message from rank 0
     dup = WireMessage(kind="app", src=0, dst=1, ssn=1, nbytes=8, epoch=c.epoch)
-    d1.on_wire(dup)
+    d1.wire_sink(dup)
     c.sim.run(check_deadlock=False)
     assert d1.clock == before  # no new determinant was created
 
@@ -33,7 +33,7 @@ def test_stale_epoch_message_dropped():
     msg = WireMessage(
         kind="app", src=0, dst=1, ssn=999, nbytes=8, epoch=c.epoch - 1
     )
-    d1.on_wire(msg)
+    d1.wire_sink(msg)
     c.sim.run(check_deadlock=False)
     assert d1.clock == before
 
@@ -44,7 +44,7 @@ def test_message_to_dead_daemon_dropped():
     d1 = c.daemons[1]
     d1.alive = False
     msg = WireMessage(kind="app", src=0, dst=1, ssn=999, nbytes=8, epoch=c.epoch)
-    d1.on_wire(msg)  # no crash, silently dropped
+    d1.wire_sink(msg)  # no crash, silently dropped
     assert d1.clock >= 0
 
 
@@ -54,7 +54,7 @@ def test_unknown_wire_kind_raises():
     c = make_cluster()
     c.run()
     with pytest.raises(SimulationError, match="unknown wire kind"):
-        c.daemons[1].on_wire(
+        c.daemons[1].wire_sink(
             WireMessage(kind="bogus", src=0, dst=1, epoch=c.epoch)
         )
 

@@ -1,60 +1,31 @@
 """Run-twice reproducibility: same (scenario, seed, config) → same bits.
 
-Bit-identity across *engines* (tests/test_partition_conformance.py) is
-only meaningful if a single configuration is reproducible with *itself*:
-two fresh clusters built from the same scenario, seed and config must
-produce byte-identical result images — application results, simulated
-time, event counts, and the complete probe snapshot.  Any hidden host
-nondeterminism (dict iteration over object ids, host-clock leakage,
-unseeded randomness, cross-run state bleed through module globals) shows
-up here first, before it can masquerade as an engine-knob bug in the
-differential suites.
+Pinned images (tests/test_pinned_images.py) and the engine / worklist
+oracles are only meaningful if a single configuration is reproducible
+with *itself*: two fresh clusters built from the same scenario, seed and
+config must produce byte-identical result images — application results,
+simulated time, event counts, and the complete probe snapshot.  Any
+hidden host nondeterminism (dict iteration over object ids, host-clock
+leakage, unseeded randomness, cross-run state bleed through module
+globals) shows up here first.
 
-The knob matrix deliberately spans every subsystem with its own event
-sources: engine coalescing, fused delivery dispatch, sharded-EL sync
-topologies, RPC timeout/retry timers, randomized checkpoint scheduling,
-fault injection, and the partitioned facade.
+The knob matrix spans every subsystem with its own event sources: the
+reference engine, sharded-EL sync topologies, RPC timeout/retry timers,
+randomized checkpoint scheduling, and fault injection with replay.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro import Cluster
-from repro.runtime.config import ClusterConfig
-from repro.runtime.failure import OneShotFaults
-
-from tests.test_partition_conformance import PROTOCOL_STACKS, schedule_app
+from tests.schedules import PROTOCOL_STACKS, image_diff, run_image
 
 #: one schedule with every op kind; deep enough to cross checkpoint waves
 OPS = [("ring", 48_000), ("allreduce", 128), ("bcast", 2, 4096), ("compute", 0.003)]
 
 
-def run_once(stack, *, nprocs=4, seed=0, iterations=3, fault_at=None,
-             checkpoint_policy="none", checkpoint_interval_s=None, **config_kw):
-    """Build a fresh cluster and return its complete observable image."""
-    kw = {}
-    if fault_at is not None:
-        kw["fault_plan"] = OneShotFaults(fault_at)
-    result = Cluster(
-        nprocs=nprocs,
-        app_factory=schedule_app(OPS, iterations),
-        stack=stack,
-        config=ClusterConfig(**config_kw),
-        seed=seed,
-        checkpoint_policy=checkpoint_policy,
-        checkpoint_interval_s=checkpoint_interval_s,
-        **kw,
-    ).run(max_events=30_000_000)
-    return {
-        "finished": result.finished,
-        "results": result.results,
-        "sim_time": result.sim_time,
-        "events_executed": result.events_executed,
-        "probes": dataclasses.asdict(result.probes),
-    }
+def run_once(stack, **kw):
+    return run_image(stack, OPS, 3, **kw)
 
 
 def assert_reproducible(stack, **kw):
@@ -62,16 +33,9 @@ def assert_reproducible(stack, **kw):
     assert first["finished"], (stack, kw)
     second = run_once(stack, **kw)
     if first != second:
-        diffs = {
-            k: (first[k], second[k]) for k in first if first[k] != second[k]
-        }
-        if "probes" in diffs:
-            diffs["probes"] = {
-                f: (first["probes"][f], second["probes"][f])
-                for f in first["probes"]
-                if first["probes"][f] != second["probes"][f]
-            }
-        raise AssertionError(f"{stack} not reproducible under {kw}: {diffs}")
+        raise AssertionError(
+            f"{stack} not reproducible under {kw}: {image_diff(first, second)}"
+        )
     return first
 
 
@@ -84,14 +48,6 @@ def test_every_protocol_is_reproducible(stack):
     "knobs",
     [
         {"engine_coalesce": False},
-        {"delivery_fastpath": False},
-        {"engine_coalesce": False, "delivery_fastpath": False},
-        {"partition_ranks": 2},
-        {"partition_ranks": 4},
-        {"partition_ranks": 4, "engine_coalesce": False},
-        {"partition_ranks": 4, "partition_workers": 2},
-        {"partition_ranks": 4, "partition_workers": 4},
-        {"partition_ranks": 4, "partition_workers": 4, "engine_coalesce": False},
         {"el_count": 4, "el_sync_strategy": "multicast"},
         {"el_count": 4, "el_sync_strategy": "tree"},
         {"rpc_timeout_s": 0.05},
@@ -112,7 +68,6 @@ def test_randomized_checkpoints_reproduce_per_seed():
     )
     b = run_once(
         "vcausal", seed=8, checkpoint_policy="random", checkpoint_interval_s=0.002,
-        iterations=3,
     )
     assert b["finished"]
     assert a["results"] == b["results"]  # app results don't depend on waves
@@ -129,16 +84,3 @@ def test_fault_recovery_is_reproducible():
         checkpoint_interval_s=0.02,
     )
     assert len(image["probes"]["recoveries"]) >= 1
-
-
-def test_partitioned_fault_recovery_is_reproducible():
-    """The heaviest composition: partitioned facade + checkpoints + a
-    crash, run twice from scratch."""
-    base = run_once("vcausal", partition_ranks=4)
-    assert_reproducible(
-        "vcausal",
-        partition_ranks=4,
-        fault_at=[(base["sim_time"] * 0.6, 1)],
-        checkpoint_policy="round-robin",
-        checkpoint_interval_s=0.02,
-    )

@@ -118,9 +118,9 @@ def test_config_rejects_invalid_fault_and_retry_knobs(overrides):
 
 
 def _sim():
-    from repro.simulator.engine import make_simulator
+    from repro.simulator.engine import Simulator
 
-    return make_simulator()
+    return Simulator()
 
 
 def test_retry_policy_backoff_is_capped():
@@ -416,10 +416,10 @@ def test_ckpt_outage_unit_transactional_abort():
     and remain retrievable after the restore."""
     from repro.metrics.probes import ClusterProbes
     from repro.runtime.checkpoint_server import CheckpointServer
-    from repro.simulator.engine import make_simulator
+    from repro.simulator.engine import Simulator
     from repro.simulator.network import Network
 
-    sim = make_simulator()
+    sim = Simulator()
     config = ClusterConfig()
     network = Network(sim, bandwidth_bps=config.bandwidth_bps)
     network.attach("n0")

@@ -146,50 +146,6 @@ def test_bt_survives_fault_with_checkpoints():
 
 
 # --------------------------------------------------------------------- #
-# pinned small-rank checksums (BT / SP / FT on vcausal)
-#
-# These pin the exact simulated image — time, event count, traffic,
-# application results — so any change to the delivery pipeline, the
-# piggyback algebra or the workload skeletons that moves a single event
-# fails loudly.  Both `delivery_fastpath` settings must reproduce the
-# same pin: the fused closures (runtime/fastpath.py) are a host-side
-# representation change only.
-
-PINNED_IMAGES = {
-    # (bench, nprocs): sim_time, events_executed, messages, pb_bytes, fold
-    ("bt", 9): (0.007192012311814559, 1108, 124, 1828, 1956590250360878096),
-    ("sp", 4): (0.0074528037634408574, 484, 54, 596, 848296323971433027),
-    ("ft", 8): (0.07237872496575341, 1272, 154, 1096, 970971711552552355),
-}
-
-
-@pytest.mark.parametrize("bench,nprocs", sorted(PINNED_IMAGES))
-@pytest.mark.parametrize("fastpath", (True, False))
-def test_pinned_simulation_image(bench, nprocs, fastpath):
-    from repro.runtime.config import ClusterConfig
-
-    app, _ = make_app(bench, "S", nprocs, iterations=2)
-    r = Cluster(
-        nprocs=nprocs,
-        app_factory=app,
-        stack="vcausal",
-        config=ClusterConfig(delivery_fastpath=fastpath),
-    ).run(max_events=20_000_000)
-    assert r.finished
-    fold = 0
-    for v in r.results.values():  # int results: hash() is process-stable
-        fold = (fold * 1_000_003 + hash(v)) % (2**61 - 1)
-    image = (
-        r.sim_time,
-        r.events_executed,
-        r.probes.total("app_messages_sent"),
-        r.probes.total("piggyback_bytes_sent"),
-        fold,
-    )
-    assert image == PINNED_IMAGES[(bench, nprocs)]
-
-
-# --------------------------------------------------------------------- #
 # workload character (the properties the paper relies on)
 
 def test_lu_sends_many_small_messages():

@@ -183,6 +183,8 @@ def test_discovery_is_sorted():
 def test_simlint_clean_on_src_and_tools():
     """The tier-1 analogue of ``python -m tools.simlint src tools``."""
     config = load_config(REPO_ROOT)
+    # host concurrency is banned across all of src/repro, no carve-out
+    assert config.scopes["host-thread"] == ["src/repro/*"]
     findings = lint_paths(
         [REPO_ROOT / "src", REPO_ROOT / "tools"], REPO_ROOT, config
     )

@@ -4,6 +4,7 @@ from repro import Cluster, OneShotFaults
 from repro.metrics.trace import Timeline
 
 from tests.conftest import ring_app
+from tests.schedules import LOGGING_STACKS, image_diff, run_image
 
 
 def run_traced(**kw):
@@ -57,9 +58,19 @@ def test_entry_format():
 
 
 def test_tracing_does_not_change_results():
-    plain = Cluster(nprocs=2, app_factory=ring_app(8), stack="vcausal").run()
-    traced_cluster = Cluster(nprocs=2, app_factory=ring_app(8), stack="vcausal")
-    Timeline.attach(traced_cluster)
-    traced = traced_cluster.run()
-    assert traced.results == plain.results
-    assert traced.sim_time == plain.sim_time
+    """An attached timeline only observes: with a mid-run kill and replay
+    on every logging stack, the traced run's complete image — results,
+    simulated time, event count, every probe — equals the untraced one."""
+    ops = [("ring", 32_768), ("bcast", 1, 512), ("allreduce", 8), ("compute", 0.002)]
+    for stack in LOGGING_STACKS:
+        kw = {"fault_at": [(0.012, 1)]}
+        plain = run_image(stack, ops, 4, **kw)
+        timelines = []
+        traced = run_image(
+            stack, ops, 4, attach=lambda c: timelines.append(Timeline.attach(c)), **kw
+        )
+        assert plain["finished"] and traced == plain, (
+            stack, image_diff(traced, plain))
+        assert plain["probes"]["per_rank"][1]["replayed_receptions"] > 0, stack
+        kinds = timelines[0].summary()
+        assert kinds["fault"] == 1 and kinds["restart"] == 1 and kinds["deliver"] > 0

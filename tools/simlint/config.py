@@ -50,7 +50,6 @@ _ALL_SRC = ["src/repro/*", "tools/*"]
 _SLOTS_MODULES = [
     "src/repro/simulator/engine.py",
     "src/repro/simulator/network.py",
-    "src/repro/simulator/partition.py",
     "src/repro/simulator/process.py",
     "src/repro/core/events.py",
     "src/repro/core/vcausal.py",
