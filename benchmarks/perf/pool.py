@@ -9,11 +9,9 @@ whole scenario per worker process.
 
 Design constraints, in order:
 
-* **Per-scenario walls stay honest.**  Each scenario's repeats — and in
-  particular the interleaved baseline pairs (coalesced vs reference,
-  worklist vs full scan) — run inside one worker process, exactly as in the
-  serial driver, so intra-scenario comparisons never cross a process
-  boundary.  Scenario-to-scenario walls *are* noisier under ``--jobs``
+* **Per-scenario walls stay honest.**  Each scenario's repeats run
+  inside one worker process, exactly as in the serial driver, so
+  intra-scenario comparisons never cross a process boundary.  Scenario-to-scenario walls *are* noisier under ``--jobs``
   (workers share cores and caches), so every record is annotated
   ``"contended": true`` and ``compare()`` refuses to compute a
   vs-baseline speedup from it; docs/BENCHMARKING.md documents when a

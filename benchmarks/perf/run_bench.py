@@ -159,19 +159,15 @@ def engine_fanout(n_events: int):
     }
 
 
-def engine_samestamp(rounds: int, width: int, fan: int = 4, coalesce: bool = True):
+def engine_samestamp(rounds: int, width: int, fan: int = 4):
     """Macro-event stress: wide same-timestamp bursts + zero-delay fan-out.
 
     Every round schedules ``width`` bursts at one shared timestamp (one
-    macro-event bucket on the coalescing engine) and each burst
-    ``call_soon``-spawns ``fan`` leaves (the now-queue).  This is the
-    engine shape the coalescing engine exists for; run with
-    ``coalesce=False`` to record the one-heap-entry-per-event reference
-    wall on identical simulation results (the BENCH coalesced-vs-reference
-    pair)."""
-    from repro.simulator.engine import make_simulator
+    macro-event bucket) and each burst ``call_soon``-spawns ``fan`` leaves
+    (the now-queue): the shape the timestamp buckets exist for."""
+    from repro.simulator.engine import Simulator
 
-    sim = make_simulator(coalesce=coalesce)
+    sim = Simulator()
     fired = [0]
 
     def leaf():
@@ -221,23 +217,16 @@ def nas(bench: str, nprocs: int, stack: str, iterations: int):
     }
 
 
-def nas_sparse(
-    bench: str, nprocs: int, stack: str, iterations: int, inner=None,
-    coalesce: bool = True,
-):
+def nas_sparse(bench: str, nprocs: int, stack: str, iterations: int, inner=None):
     """Scale scenario: sparse bound vectors + per-entry cost model.
 
     The 256/512-rank regime the dense ``× nprocs`` formulas could not
-    credibly reach; ``inner`` truncates CG's inner loop in quick mode and
-    ``coalesce=False`` selects the reference engine for the
-    coalesced-vs-reference pair (identical checksums required).
+    credibly reach; ``inner`` truncates CG's inner loop in quick mode.
     """
     from repro.experiments.common import run_nas
     from repro.runtime.config import ClusterConfig
 
-    cfg = ClusterConfig().with_overrides(
-        pb_cost_model="sparse", engine_coalesce=coalesce
-    )
+    cfg = ClusterConfig().with_overrides(pb_cost_model="sparse")
     result, _info = run_nas(
         bench, "A", nprocs, stack, iterations=iterations, config=cfg,
         app_kwargs={"inner": inner} if inner is not None else None,
@@ -252,25 +241,20 @@ def nas_sparse(
     }
 
 
-def nas_noel_scan(bench: str, nprocs: int, stack: str, iterations: int, worklist: bool):
-    """Tentpole PR-4 pair: dirty-creator worklist vs full-scan reference.
+def nas_noel_scan(bench: str, nprocs: int, stack: str, iterations: int):
+    """No-EL at scale: the regime the dirty-creator worklist exists for.
 
-    No-EL at scale is the regime where the old build loop walked every
-    held creator sequence on every send (O(P) host work per message).  LU's
-    pipelined wavefronts send many small messages per channel per
-    iteration, so most held sequences are quiet between consecutive sends
-    on a channel — exactly what the worklist skips.  Run once per build
-    mode (``pb_build_worklist``): every simulated quantity must be
-    bit-identical between the pair; only ``seqs_scanned`` (host-side scan
-    work, surfaced via ``ProcessProbes.pb_build_seqs_scanned``) may differ,
-    and the worklist side must scan ≥5× fewer sequences.
+    A scan of every held creator sequence on every send is O(P) host work
+    per message.  LU's pipelined wavefronts send many small messages per
+    channel per iteration, so most held sequences are quiet between
+    consecutive sends on a channel — exactly what the worklist skips.
+    ``seqs_scanned`` (host-side scan work, surfaced via
+    ``ProcessProbes.pb_build_seqs_scanned``) records how few it touches.
     """
     from repro.experiments.common import run_nas
     from repro.runtime.config import ClusterConfig
 
-    cfg = ClusterConfig().with_overrides(
-        pb_cost_model="sparse", pb_build_worklist=worklist
-    )
+    cfg = ClusterConfig().with_overrides(pb_cost_model="sparse")
     result, _info = run_nas(bench, "A", nprocs, stack, iterations=iterations, config=cfg)
     probes = result.probes
     return result.events_executed, {
@@ -369,7 +353,7 @@ def nas_fault(bench: str, nprocs: int, stack: str, iterations: int, kill_s: floa
     }
 
 
-def _el4_failover_config(coalesce: bool = True):
+def _el4_failover_config():
     """Shared config of the CG-256 infrastructure-fault scenarios: four EL
     shards (tree sync), failure domains, shard failover and the retry layer
     armed.  The fault-free reference runs the *same* config so the faulty
@@ -378,7 +362,6 @@ def _el4_failover_config(coalesce: bool = True):
 
     return ClusterConfig().with_overrides(
         pb_cost_model="sparse",
-        engine_coalesce=coalesce,
         el_count=4,
         el_sync_strategy="tree",
         el_sync_interval_s=10e-3,
@@ -501,16 +484,10 @@ def scenarios(quick: bool) -> dict:
             "engine_chain": lambda: engine_chain(2, 2_000),
             "engine_fanout": lambda: engine_fanout(10_000),
             "engine_samestamp": lambda: engine_samestamp(40, 600, 8),
-            "engine_samestamp_reference": lambda: engine_samestamp(
-                40, 600, 8, coalesce=False
-            ),
             "pingpong_vcausal_noel": lambda: pingpong("vcausal-noel", 100),
             "nas_cg8_vcausal_noel": lambda: nas("cg", 8, "vcausal-noel", 2),
             "nas_cg256_vcausal_sparse": lambda: nas_sparse(
                 "cg", 256, "vcausal", 1, inner=3
-            ),
-            "nas_cg256_sparse_engine_ref": lambda: nas_sparse(
-                "cg", 256, "vcausal", 1, inner=3, coalesce=False
             ),
             "nas_cg512_vcausal_sparse": lambda: nas_sparse(
                 "cg", 512, "vcausal", 1, inner=1
@@ -528,13 +505,10 @@ def scenarios(quick: bool) -> dict:
             "nas_cg256_el16_tree": lambda: nas_sharded_el(
                 "cg", 256, "vcausal", 1, 16, "tree", inner=3
             ),
-            # quick variant of the worklist pair drops to 64 ranks (LU has
-            # no inner-loop truncation knob; 256-rank LU takes ~10 s)
+            # the quick variant drops to 64 ranks (LU has no inner-loop
+            # truncation knob; 256-rank LU takes ~10 s)
             "nas_lu256_noel_worklist": lambda: nas_noel_scan(
-                "lu", 64, "vcausal-noel", 1, worklist=True
-            ),
-            "nas_lu256_noel_fullscan": lambda: nas_noel_scan(
-                "lu", 64, "vcausal-noel", 1, worklist=False
+                "lu", 64, "vcausal-noel", 1
             ),
             # the infrastructure-fault scenarios run at full size in quick
             # mode too: their checksums must exact-match the recorded BENCH
@@ -549,16 +523,10 @@ def scenarios(quick: bool) -> dict:
         "engine_chain": lambda: engine_chain(8, 25_000),
         "engine_fanout": lambda: engine_fanout(150_000),
         "engine_samestamp": lambda: engine_samestamp(80, 800, 8),
-        "engine_samestamp_reference": lambda: engine_samestamp(
-            80, 800, 8, coalesce=False
-        ),
         "pingpong_vcausal_noel": lambda: pingpong("vcausal-noel", 2_000),
         "nas_cg16_vcausal_noel": lambda: nas("cg", 16, "vcausal-noel", 10),
         "nas_lu16_manetho_noel": lambda: nas("lu", 16, "manetho-noel", 6),
         "nas_cg256_vcausal_sparse": lambda: nas_sparse("cg", 256, "vcausal", 1),
-        "nas_cg256_sparse_engine_ref": lambda: nas_sparse(
-            "cg", 256, "vcausal", 1, coalesce=False
-        ),
         "nas_cg512_vcausal_sparse": lambda: nas_sparse(
             "cg", 512, "vcausal", 1, inner=3
         ),
@@ -580,10 +548,7 @@ def scenarios(quick: bool) -> dict:
             "cg", 256, "vcausal", 1, 16, "tree"
         ),
         "nas_lu256_noel_worklist": lambda: nas_noel_scan(
-            "lu", 256, "vcausal-noel", 1, worklist=True
-        ),
-        "nas_lu256_noel_fullscan": lambda: nas_noel_scan(
-            "lu", 256, "vcausal-noel", 1, worklist=False
+            "lu", 256, "vcausal-noel", 1
         ),
         "nas_cg256_el4_storm": lambda: nas_infra_fault("storm"),
         "nas_cg256_el4_shardloss": lambda: nas_infra_fault("shardloss"),

@@ -30,22 +30,8 @@ def test_quick_mode_runs_in_seconds_and_is_deterministic():
     fault = results["nas_cg8_vcausal_fault"]["checksum"]
     assert fault["recoveries"] == 1
     assert fault["replayed"] > 0
-    # ... as must the macro-event engine paths: the coalesced-vs-reference
-    # NAS pair must be bit-identical in simulation, the 512-rank scenario
-    # must complete, and the same-timestamp/fan-out microbench pair must be
-    # bit-identical with a real coalescing speedup (full-size recorded runs
-    # show >2x; the floor here is loose only to tolerate CI noise)
-    coal = results["nas_cg256_vcausal_sparse"]["checksum"]
-    eref = results["nas_cg256_sparse_engine_ref"]["checksum"]
-    assert coal == eref
+    # ... as must the 512-rank scenario
     assert results["nas_cg512_vcausal_sparse"]["checksum"]["messages"] > 0
-    ss = results["engine_samestamp"]
-    ss_ref = results["engine_samestamp_reference"]
-    assert ss["checksum"] == ss_ref["checksum"]
-    assert ss_ref["wall_s"] >= 1.3 * ss["wall_s"], (
-        f"coalesced engine speedup regressed: reference {ss_ref['wall_s']}s "
-        f"vs coalesced {ss['wall_s']}s"
-    )
     # ... as must the EL-saturation and sharded-EL sync-topology paths
     saturation = results["nas_lu16_el_saturation"]["checksum"]
     assert saturation["el_stored"] > 0
@@ -56,13 +42,6 @@ def test_quick_mode_runs_in_seconds_and_is_deterministic():
     assert tree["sync_messages"] == tree["sync_rounds"] * 2 * 15
     # the point of the tree topology: O(shards) not O(shards²) per round
     assert tree["sync_messages"] < multicast["sync_messages"]
-    # ... and the dirty-creator worklist pair: identical simulated results,
-    # far fewer creator sequences scanned on the worklist side
-    wl = results["nas_lu256_noel_worklist"]["checksum"]
-    fs = results["nas_lu256_noel_fullscan"]["checksum"]
-    sim_only = lambda c: {k: v for k, v in c.items() if k != "seqs_scanned"}
-    assert sim_only(wl) == sim_only(fs)
-    assert fs["seqs_scanned"] >= 5 * wl["seqs_scanned"]
     # ... and the infrastructure-fault scenarios (failure-domain storm,
     # EL-shard failover, checkpoint-server outage): a faulty run that does
     # not reproduce its fault-free reference's application results is a

@@ -20,7 +20,7 @@ peer, which is the whole Fig. 10 story.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from repro.core.bounds import BoundVector
 from repro.core.events import Determinant
@@ -112,12 +112,9 @@ class EventLogger:
         self._queued = 0
         # The select loop completes services in strictly increasing
         # _busy_until order, so one SerialDrain timer carries the whole
-        # service queue on a coalescing engine: heap occupancy stays O(1)
-        # per logger even when the EL saturates and the queue grows
-        # (None = reference path, one heap entry per queued service).
-        self._serve_drain: Optional[SerialDrain] = (
-            SerialDrain(sim) if sim.coalesced else None
-        )
+        # service queue: heap occupancy stays O(1) per logger even when
+        # the EL saturates and the queue grows.
+        self._serve_drain = SerialDrain(sim)
 
     def ack_vector_bytes(self, vector: BoundVector) -> int:
         """Wire size of a stable-vector payload (without the fixed header).
@@ -158,11 +155,9 @@ class EventLogger:
         done = start + service
         self._busy_until = done
         self.probes.el_busy_time_s += service
-        drain = self._serve_drain
-        if drain is not None:
-            drain.enqueue(done, self._serve_log, src_rank, dets, ack_to, ack_host)
-        else:
-            self.sim.post(done, self._serve_log, src_rank, dets, ack_to, ack_host)
+        self._serve_drain.enqueue(
+            done, self._serve_log, src_rank, dets, ack_to, ack_host
+        )
 
     def _ack_vector(self) -> BoundVector:
         """Stable-vector snapshot an ack carries (shards merge peer views)."""
@@ -251,11 +246,9 @@ class EventLogger:
         self._busy_until = done
         self.probes.el_busy_time_s += service
         nbytes = cfg.el_ack_wire_bytes + len(dets) * cfg.event_record_bytes
-        drain = self._serve_drain
-        if drain is not None:
-            drain.enqueue(done, self._serve_fetch, dets, nbytes, reply_to, reply_host)
-        else:
-            self.sim.post(done, self._serve_fetch, dets, nbytes, reply_to, reply_host)
+        self._serve_drain.enqueue(
+            done, self._serve_fetch, dets, nbytes, reply_to, reply_host
+        )
 
     def _serve_fetch(
         self,

@@ -1,67 +1,19 @@
-"""Typed seam contracts between the engine, the daemon and the transport.
+"""Typed seam contract between the protocols and the daemon hosting them.
 
 The reproduction is layered — ``simulator`` (engine, network), ``core``
-(protocols, determinant structures), ``runtime`` (daemon, cluster) — and
-the layers talk through a handful of narrow seams.  This module states
-those seams as :class:`typing.Protocol` types so that
-
-* ``mypy --strict`` checks each layer against the *contract*, not against
-  a concrete class from another layer (the compiled-core roadmap item
-  wants ``core``/``simulator`` compilable without importing ``runtime``);
-* the contracts themselves are documented in one place instead of being
-  implicit in call sites.
-
-All protocols here are structural: ``Simulator``, ``Network`` and
-``Vdaemon`` satisfy them without inheriting from them.
+(protocols, determinant structures), ``runtime`` (daemon, cluster).
+``core`` is hosted by a ``runtime`` object it must not import: this
+module states what it may assume about that host as a structural
+:class:`typing.Protocol`, so ``mypy --strict`` checks ``core`` against
+the *contract* (the compiled-core roadmap item wants
+``core``/``simulator`` compilable without importing ``runtime``) and the
+contract is written down in one place.  ``Vdaemon`` satisfies it without
+inheriting from it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol
-
-
-class SchedulerLike(Protocol):
-    """Engine seam: what event-producing code needs from the simulator.
-
-    Satisfied by :class:`repro.simulator.engine.Simulator` and
-    :class:`repro.simulator.engine.ReferenceSimulator`.
-    """
-
-    now: float
-    coalesced: bool
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        ...
-
-    def at(self, time: float, fn: Callable[..., None], *args: Any) -> Any:
-        """Run ``fn(*args)`` at absolute simulated ``time``."""
-        ...
-
-    def post(self, time: float, fn: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`at` (no cancellation handle)."""
-        ...
-
-
-class TransportLike(Protocol):
-    """Network seam: deliver ``nbytes`` between named NICs, then call back.
-
-    Satisfied by :class:`repro.simulator.network.Network`.  ``deliver``
-    receives ``*args`` (no closures on the per-message path).
-    """
-
-    def transfer(
-        self,
-        src: str,
-        dst: str,
-        nbytes: int,
-        deliver: Callable[..., None],
-        extra_latency: float = 0.0,
-        args: tuple = (),
-        _chunk: bool = False,
-    ) -> float:
-        """Move ``nbytes``; returns the scheduled delivery time."""
-        ...
+from typing import Protocol
 
 
 class DaemonHost(Protocol):
@@ -79,4 +31,4 @@ class DaemonHost(Protocol):
     clock: int
 
 
-__all__ = ["DaemonHost", "SchedulerLike", "TransportLike"]
+__all__ = ["DaemonHost"]

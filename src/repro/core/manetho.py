@@ -17,53 +17,22 @@ Events are factored by creator rank on the wire (cheap format, paper
 
 from __future__ import annotations
 
-from typing import Any
-
 from math import log2
 
-from repro.core.antecedence import AntecedenceGraph
-from repro.core.bounds import BoundVector
-from repro.core.events import Determinant, StableState
+from repro.core.graph_protocol import GraphProtocol
 from repro.core.piggyback import (
     Piggyback,
     creator_runs,
     factored_bytes_from_counts,
 )
-from repro.core.protocol_base import VProtocol
-from repro.metrics.probes import ProcessProbes
-from repro.runtime.config import ClusterConfig
 
 
-class ManethoProtocol(VProtocol):
+class ManethoProtocol(GraphProtocol):
     """Antecedence-graph causal logging, Manetho traversal strategy."""
 
-    __slots__ = ("graph", "known", "peer_clock_seen")
+    __slots__ = ()
 
-    uses_event_logger = True
     name = "manetho"
-
-    def __init__(
-        self,
-        rank: int,
-        nprocs: int,
-        config: ClusterConfig,
-        probes: ProcessProbes,
-    ) -> None:
-        super().__init__(rank, nprocs, config, probes)
-        self.graph = AntecedenceGraph(nprocs)
-        #: peer -> sparse per-creator clock bounds the peer is known to hold
-        self.known: dict[int, BoundVector] = {}
-        #: peer -> highest reception clock of that peer observed (via dep
-        #: fields); the graph itself may know an even later event of the peer
-        self.peer_clock_seen: dict[int, int] = {}
-
-    def _known(self, peer: int) -> BoundVector:
-        k = self.known.get(peer)
-        if k is None:
-            k = self.known[peer] = BoundVector()
-        return k
-
-    # ------------------------------------------------------------------ #
 
     def build_piggyback(self, dst: int) -> Piggyback:
         known = self._known(dst)
@@ -86,7 +55,7 @@ class ManethoProtocol(VProtocol):
         # to chains grown since the last build for dst; clean chains are
         # already covered by the knowledge bound and contribute nothing.
         graph = self.graph
-        candidates = self._build_candidates(dst, graph.growth, len(graph.seqs))
+        candidates = self._build_candidates(dst, graph.growth)
         events, scan, runs = graph.select_unknown(known, self.stable, candidates)
         visits += scan
         n = len(events)
@@ -107,10 +76,6 @@ class ManethoProtocol(VProtocol):
             build_cost_s=cost,
             runs=tuple(runs),
         )
-
-    def on_local_event(self, det: Determinant) -> None:
-        self.graph.add(det)
-        self.probes.note_events_held(len(self.graph))
 
     def accept_piggyback(self, src: int, pb: Piggyback, dep: int) -> float:
         cfg = self.config
@@ -151,47 +116,3 @@ class ManethoProtocol(VProtocol):
         self.probes.pb_recv_time_s += cost
         self.probes.note_events_held(len(self.graph))
         return cost
-
-    def on_el_ack(self, stable_vector: StableState) -> None:
-        # unconditional full prune, exactly the pre-worklist behavior: a
-        # chain's prune floor is only raised when its window is visited
-        # with stable coverage, so stale determinants re-admitted below an
-        # already-stable clock must be dropped by the *next* ack even when
-        # no stable entry moved — a moved-creators worklist cannot
-        # reproduce that transient (vcausal can, because its fused loop
-        # keeps every floor glued to the stable vector)
-        super().on_el_ack(stable_vector)
-        self.graph.prune(self.stable)
-
-    # ------------------------------------------------------------------ #
-
-    def events_created_by(self, creator: int) -> list[Determinant]:
-        return self.graph.events_created_by(creator)
-
-    def events_held(self) -> int:
-        return len(self.graph)
-
-    def scan_events_held(self) -> int:
-        return self.graph.scan_size()
-
-    def export_state(self) -> dict[str, Any]:
-        return {
-            "graph": self.graph.export_state(),
-            "known": {p: v.export_state() for p, v in self.known.items()},
-            "peer_clock_seen": dict(self.peer_clock_seen),
-            "stable": self.stable.as_list(),
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        self.graph = AntecedenceGraph(self.nprocs)
-        self.graph.restore_state(state["graph"])
-        self.known = {
-            p: BoundVector.from_state(v) for p, v in state["known"].items()
-        }
-        self.peer_clock_seen = dict(state["peer_clock_seen"])
-        self.stable.update(state["stable"])
-        # the fresh graph re-marked every restored chain dirty; the channel
-        # cursors must restart with it, or an in-place restore would leave
-        # stale cursors above the new growth ticks and mark everything
-        # clean — the under-full-piggyback bug the worklist must not have
-        self._chan_synced = {}

@@ -44,8 +44,7 @@ class VProtocol:
 
     __slots__ = (
         "rank", "nprocs", "config", "probes", "daemon", "stable",
-        "_send_scan_dense", "_recv_scan_dense", "_worklist_enabled",
-        "_chan_synced",
+        "_send_scan_dense", "_recv_scan_dense", "_chan_synced",
     )
 
     #: whether this protocol ships determinants to the Event Logger
@@ -78,13 +77,12 @@ class VProtocol:
         else:
             self._send_scan_dense = None
             self._recv_scan_dense = None
-        #: dirty-creator worklist (see ClusterConfig.pb_build_worklist):
-        #: per-peer cursor into the protocol's growth log.  A creator is
-        #: "dirty" for a channel when its sequence grew after the last
-        #: build on that channel; clean creators cannot contribute events
-        #: (their channel/knowledge bound already covers their max clock),
-        #: so the build loop skips them without touching their sequences.
-        self._worklist_enabled = config.pb_build_worklist
+        #: dirty-creator worklist: per-peer cursor into the protocol's
+        #: growth log.  A creator is "dirty" for a channel when its
+        #: sequence grew after the last build on that channel; clean
+        #: creators cannot contribute events (their channel/knowledge
+        #: bound already covers their max clock), so the build loop skips
+        #: them without touching their sequences.
         self._chan_synced: dict[int, int] = {}
 
     def bind(self, daemon: DaemonHost) -> None:
@@ -104,32 +102,24 @@ class VProtocol:
             return flat
         return self.config.cost_pb_recv_per_entry_s * touched
 
-    def _build_candidates(
-        self, dst: int, growth: GrowthLog, held: int
-    ) -> Optional[list[int]]:
+    def _build_candidates(self, dst: int, growth: GrowthLog) -> list[int]:
         """Creators whose sequences the build loop for ``dst`` must scan.
 
-        Returns ``None`` on the full-scan reference path
-        (``pb_build_worklist=False``); otherwise the creators grown since
-        the last build on this channel, sorted into sequence-creation
-        order — the full scan's iteration order restricted to dirty
-        creators, which is what keeps piggybacks byte-identical between
-        the two paths (clean creators contribute nothing to a full scan).
+        The creators grown since the last build on this channel, sorted
+        into sequence-creation order — a scan of every held sequence
+        restricted to dirty creators, so piggybacks are byte-identical to
+        that scan's (clean creators contribute nothing to it; the
+        full-scan oracle in ``tests/oracles.py`` overrides this method to
+        property-test exactly that).
 
         ``growth`` is the protocol's :class:`~repro.core.events.GrowthLog`:
         growing a creator moves it to the end with a fresh monotone tick,
         so the dirty set is exactly the suffix of entries with a tick
         above this channel's cursor (collected by one reverse walk).
         Marking growth is O(1) and collection is O(dirty), independent of
-        both the cluster size and the number of held sequences.
-
-        ``held`` is the full scan's sequence count; the
-        ``pb_build_seqs_scanned`` probe is charged here for whichever
-        path is taken.
+        both the cluster size and the number of held sequences.  The
+        ``pb_build_seqs_scanned`` probe counts the sequences returned.
         """
-        if not self._worklist_enabled:
-            self.probes.pb_build_seqs_scanned += held
-            return None
         cursor = self._chan_synced.get(dst, 0)
         self._chan_synced[dst] = growth.counter
         seq_order = growth.seq_order

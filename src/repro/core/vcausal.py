@@ -133,20 +133,16 @@ class VcausalProtocol(VProtocol):
         cfg = self.config
         events: list[Determinant] = []
         runs: list[tuple[int, int, int]] = []
-        candidates = self._build_candidates(dst, self._growth, len(self.seqs))
-        if candidates is None:
-            items = self.seqs.items()
-        else:
-            # host-side iteration reduction only (the simulated charge and
-            # the pb_build_seqs_scanned probe above are unchanged): an
-            # empty-window creator can never contribute — its max_clock is
-            # 0 — so walk the dirty list intersected with the live set.
-            # Filtering preserves the dirty list's sequence-creation order,
-            # so piggybacks stay byte-identical to the full scan's.
-            lget = self._live.get
-            items = [
-                (c, s_) for c in candidates if (s_ := lget(c)) is not None
-            ]
+        # an empty-window creator can never contribute — its max_clock is
+        # 0 — so walk the dirty list intersected with the live set.
+        # Filtering preserves the dirty list's sequence-creation order, so
+        # piggybacks stay byte-identical to a scan of every held sequence.
+        lget = self._live.get
+        items = [
+            (c, s_)
+            for c in self._build_candidates(dst, self._growth)
+            if (s_ := lget(c)) is not None
+        ]
         for creator, seq in items:
             lo = bget(creator, 0)
             s = sget(creator, 0)

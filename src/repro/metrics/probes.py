@@ -38,12 +38,11 @@ class ProcessProbes:
     pb_recv_ops: int = 0
 
     # -- build/accept loop mechanics (host-side work, not simulated cost) --
-    # Creator sequences examined by build_piggyback.  The full-scan
-    # reference path counts every held sequence per send; the dirty-creator
-    # worklist (ClusterConfig.pb_build_worklist) counts only the sequences
-    # that grew since the last send on that channel.  Both modes charge the
-    # same simulated cost, so this counter is the evidence of the worklist
-    # win without entering any determinism checksum comparison.
+    # Creator sequences examined by build_piggyback: the dirty-creator
+    # worklist touches only the sequences that grew since the last send on
+    # that channel, where a scan of every held sequence (the test oracle)
+    # would count them all.  The simulated cost charges every held
+    # sequence either way, so this counter is host-side evidence only.
     pb_build_seqs_scanned: int = 0
     # Accept-path merge granularity: whole clock-ascending creator runs
     # consumed via the O(1) run classification vs determinants merged one

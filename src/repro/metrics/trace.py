@@ -40,7 +40,7 @@ class TraceEntry:
 
 
 class Timeline:
-    """Ordered event record, populated by lightweight hook wrappers."""
+    """Ordered event record, populated through the ``trace_sink`` hooks."""
 
     def __init__(self) -> None:
         self.entries: list[TraceEntry] = []
@@ -77,29 +77,9 @@ class Timeline:
     def attach(cls, cluster: "Cluster") -> "Timeline":
         """Instrument a (not yet started) cluster and return the timeline."""
         timeline = cls()
-        sim = cluster.sim
-
-        # faults and restarts via the cluster API
-        orig_inject = cluster.inject_fault
-
-        def inject_fault(rank: int) -> None:
-            if not cluster.finished and rank not in cluster.finished_ranks and cluster.daemons[rank].alive:
-                timeline.record(sim.now, "fault", rank)
-            orig_inject(rank)
-
-        cluster.inject_fault = inject_fault  # type: ignore[method-assign]
-
-        orig_restart = cluster.restart_app
-
-        def restart_app(rank: int, state, pending) -> None:
-            timeline.record(sim.now, "restart", rank)
-            orig_restart(rank, state, pending)
-
-        cluster.restart_app = restart_app  # type: ignore[method-assign]
-
-        # sends/deliveries/checkpoints via the daemon's first-class sink
-        # hook (Vdaemon is slotted, so wrapping bound methods in place is
-        # not an option — and the hook costs one None check when detached)
+        # faults and restarts come through the cluster's sink, sends /
+        # deliveries / checkpoints through each daemon's
+        cluster.trace_sink = timeline.record
         for daemon in cluster.daemons.values():
             daemon.trace_sink = timeline.record
 

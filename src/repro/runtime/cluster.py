@@ -36,7 +36,7 @@ from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.failure import FaultPlan
 from repro.runtime.fastpath import install_delivery
 from repro.runtime.retry import RetryChannel, RetryPolicy, RetryStats
-from repro.simulator.engine import Simulator, make_simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.network import Network
 from repro.simulator.process import SimProcess
 from repro.simulator.rng import SeedSequenceStream
@@ -90,7 +90,7 @@ class Cluster:
         self.spec: StackSpec = STACKS[stack] if isinstance(stack, str) else stack
         self.config = config if config is not None else ClusterConfig()
         self.seeds = SeedSequenceStream(seed)
-        self.sim: Simulator = make_simulator(coalesce=self.config.engine_coalesce)
+        self.sim = Simulator()
         self.network = Network(
             self.sim,
             bandwidth_bps=self.config.bandwidth_bps,
@@ -135,6 +135,9 @@ class Cluster:
         self.retry_policy = RetryPolicy.from_config(self.config)
         self._rpc_channels: dict[str, RetryChannel] = {}
         self._restart_listeners: list[Callable[[int], None]] = []
+        #: lifecycle recorder (time_s, kind, rank) for faults and restarts;
+        #: set by metrics.trace.Timeline.attach — None means tracing is off
+        self.trace_sink: Optional[Callable[[float, str, int], None]] = None
 
         self.daemons: dict[int, Vdaemon] = {}
         self.contexts: dict[int, MpiContext] = {}
@@ -220,6 +223,8 @@ class Cluster:
 
     def restart_app(self, rank: int, state, pending) -> None:
         """Relaunch the MPI process of ``rank`` (recovery phase 3)."""
+        if self.trace_sink is not None:
+            self.trace_sink(self.sim.now, "restart", rank)
         self.finished_ranks.discard(rank)
         old = self.app_procs.get(rank)
         if old is not None and old.alive:
@@ -241,10 +246,12 @@ class Cluster:
             return  # the paper kills processes during execution only
         if not self.daemons[rank].alive:
             return  # already down
-        self.kill_rank(rank, record_fault=True)
+        if self.trace_sink is not None:
+            self.trace_sink(self.sim.now, "fault", rank)
+        self.kill_rank(rank)
         self.dispatcher.notice_fault(rank, self.sim.now)
 
-    def kill_rank(self, rank: int, record_fault: bool = True) -> None:
+    def kill_rank(self, rank: int) -> None:
         proc = self.app_procs.get(rank)
         if proc is not None:
             proc.kill()

@@ -86,36 +86,12 @@ class ClusterConfig:
     cost_pb_send_per_entry_s: float = 1.5e-6   # × touched entries, on build
     cost_pb_recv_per_entry_s: float = 0.6e-6   # × touched entries, on merge
     el_ack_entry_bytes: int = 8                # (rank, clock) pair, sparse acks
-    # Build-loop strategy.  True (default) selects the dirty-creator
-    # worklist: each protocol tracks, per peer channel, the creator
-    # sequences that grew since the last send on that channel, and
-    # ``build_piggyback`` scans only those instead of every held sequence.
-    # This is a *host wall-clock* optimisation of the simulator itself —
-    # piggyback contents and every simulated cost are bit-identical to the
-    # full scan (property-tested; see docs/PROTOCOLS.md).  False keeps the
-    # scan-everything reference path for A/B benchmarking
-    # (``benchmarks/perf/run_bench.py`` records both).
-    pb_build_worklist: bool = True
     # Memory-pressure term: volatile causal structures that keep growing
     # (the no-EL mode) slow every piggyback operation down — the paper
     # attributes part of the 5-10% no-EL latency penalty to the growing
     # antecedence graph.  Charged as coeff * log2(1 + events held) per send.
     cost_seq_pressure_s: float = 0.30e-6       # flat sequences (Vcausal)
     cost_graph_pressure_s: float = 0.60e-6      # antecedence graph methods
-
-    # ---------------------------------------------------------------- #
-    # Simulation engine.  True (default) selects the coalescing macro-event
-    # engine: same-timestamp events drain from one heap pop, zero-delay
-    # events ride a FIFO now-queue that bypasses the heap entirely, and the
-    # serial resources (NIC RX links, daemon receive pipelines, Event
-    # Logger select loops) keep their queued completions in per-resource
-    # pending deques with a single drain timer each, so heap occupancy is
-    # O(resources) instead of O(in-flight work).  Execution order — and
-    # therefore every simulated result — is bit-identical to the reference
-    # one-heap-entry-per-event engine selected by False (kept for A/B
-    # benchmarking, mirroring ``pb_build_worklist``; property-tested in
-    # tests/test_engine_coalescing.py).
-    engine_coalesce: bool = True
 
     # ---------------------------------------------------------------- #
     # Compute node (AthlonXP 2800+ effective throughput on NAS kernels)

@@ -121,12 +121,10 @@ class Vdaemon:
         self.last_ssn: dict[int, int] = {}
         self._proc_busy_until = 0.0
         # The single-threaded daemon finishes receptions in strictly
-        # increasing _proc_busy_until order, so on a coalescing engine the
-        # whole receive pipeline rides one SerialDrain timer instead of
-        # one heap entry per hand-to-app (None = reference path).
-        self._recv_drain: Optional[SerialDrain] = (
-            SerialDrain(self.sim) if self.sim.coalesced else None
-        )
+        # increasing _proc_busy_until order, so the whole receive pipeline
+        # rides one SerialDrain timer instead of one heap entry per
+        # hand-to-app.
+        self._recv_drain = SerialDrain(self.sim)
         self._plan_send = PlanSelector(config)
         # The compiled delivery closures, installed by cluster wiring
         # (runtime/fastpath.py) once the MPI contexts exist:
@@ -659,11 +657,7 @@ class Vdaemon:
         duration = self._recv_base_delay(msg.nbytes) + pb_cost
         ready = start + duration
         self._proc_busy_until = ready
-        drain = self._recv_drain
-        if drain is not None:
-            drain.enqueue(ready, self.hand_to_app, msg)
-        else:
-            self.sim.post(ready, self.hand_to_app, msg)
+        self._recv_drain.enqueue(ready, self.hand_to_app, msg)
 
     def _finish_replay(self) -> None:
         if not self.in_replay and not self._replay_buffer:

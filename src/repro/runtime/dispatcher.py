@@ -167,7 +167,7 @@ class Dispatcher:
         self._global_relaunched = set()
         # stop everything that is still running
         for r in range(cluster.nprocs):
-            cluster.kill_rank(r, record_fault=False)
+            cluster.kill_rank(r)
         # fresh episodes: detections already in flight for ranks we just
         # killed belong to the pre-restart world
         for r in range(cluster.nprocs):

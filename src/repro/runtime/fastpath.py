@@ -81,8 +81,8 @@ def _compile_reception(
     last_ssn_get = last_ssn.get
     # the drain's in-order append (the overwhelmingly common case) is
     # inlined below; the deque identity is stable for the drain's lifetime
-    drain_pending = drain.pending if drain is not None else None
-    drain_enqueue = drain.enqueue if drain is not None else None
+    drain_pending = drain.pending
+    drain_enqueue = drain.enqueue
 
     # simlint: hot
     def on_wire(msg: WireMessage) -> None:
@@ -126,16 +126,13 @@ def _compile_reception(
             delay = d._recv_base_delay(msg.nbytes)
         ready = start + (delay + pb_cost)
         d._proc_busy_until = ready
-        if drain_pending is not None:
-            # SerialDrain.enqueue's in-order branch, inlined: claim the
-            # next engine seq and join the armed queue's tail
-            if drain_pending and ready >= drain_pending[-1][0]:
-                sim._seq = seq = sim._seq + 1
-                drain_pending.append([ready, seq, hand, (msg,)])
-            else:
-                drain_enqueue(ready, hand, msg)
+        # SerialDrain.enqueue's in-order branch, inlined: claim the next
+        # engine seq and join the armed queue's tail
+        if drain_pending and ready >= drain_pending[-1][0]:
+            sim._seq = seq = sim._seq + 1
+            drain_pending.append([ready, seq, hand, (msg,)])
         else:
-            sim.post(ready, hand, msg)
+            drain_enqueue(ready, hand, msg)
 
     return on_wire
 

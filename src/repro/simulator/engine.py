@@ -6,30 +6,26 @@ scheduling order.  This makes every simulation in the repository
 bit-reproducible, which the test suite relies on (e.g. a fault-free run and
 a faulty run with recovery must produce identical application results).
 
-Two interchangeable implementations share that contract:
-
-* :class:`Simulator` — the default *macro-event* engine.  The heap holds
-  **unique timestamps**; each timestamp maps to a FIFO bucket of entries.
-  Because the global sequence number grows monotonically, append order
-  within a bucket *is* ``seq`` order, so draining one bucket left-to-right
-  in a single loop iteration reproduces the reference execution order
-  exactly while paying one heap push/pop per *timestamp* instead of one
-  per event.  The bucket of the timestamp currently being drained doubles
-  as the *now-queue*: ``call_soon`` / zero-delay hand-offs append to it
-  and execute in the same drain without ever touching the heap.
-* :class:`ReferenceSimulator` — the classic one-heap-entry-per-event
-  simulator (the seed implementation), kept as the A/B reference path
-  behind the ``engine_coalesce`` cluster knob.
+The heap of :class:`Simulator` holds **unique timestamps**; each timestamp
+maps to a FIFO bucket of entries.  Because the global sequence number grows
+monotonically, append order within a bucket *is* ``seq`` order, so draining
+one bucket left-to-right in a single loop iteration is ``(time, seq)``
+order while paying one heap push/pop per *timestamp* instead of one per
+event.  The bucket of the timestamp currently being drained doubles as the
+*now-queue*: ``call_soon`` / zero-delay hand-offs append to it and execute
+in the same drain without ever touching the heap.  The executable
+statement of the ordering contract is the one-heap-entry-per-event oracle
+in ``tests/oracles.py``, which ``tests/test_engine_coalescing.py``
+property-checks this engine against.
 
 Hot-path notes
 --------------
 
-Entries are plain lists ``[time, seq, fn, args]``: list layout is shared by
-both engines so :class:`EventHandle` cancellation (``fn = None`` in place)
-works identically.  :meth:`Simulator.post` is the allocation-lean variant
-of :meth:`Simulator.at` for internal callers that do not need a
-cancellation handle, and :meth:`Simulator.schedule_bulk` amortizes many
-insertions into one pass.
+Entries are plain lists ``[time, seq, fn, args]``, so :class:`EventHandle`
+cancels in place (``fn = None``).  :meth:`Simulator.post` is the
+allocation-lean variant of :meth:`Simulator.at` for internal callers that
+do not need a cancellation handle, and :meth:`Simulator.schedule_bulk`
+amortizes many insertions into one pass.
 
 Serial resources (a NIC's RX link, a daemon's receive pipeline, an Event
 Logger's select loop) book strictly increasing completion times, so they
@@ -46,7 +42,6 @@ layered on top in :mod:`repro.simulator.process` and
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
@@ -126,9 +121,6 @@ class Simulator:
         interleavings.
     """
 
-    #: downstream layers key their coalesced fast paths off this flag
-    coalesced = True
-
     __slots__ = (
         "now",
         "_times",
@@ -140,7 +132,6 @@ class Simulator:
         "_events_executed",
         "_extra_events",
         "_blocked_actors",
-        "_running",
     )
 
     def __init__(self, trace: Optional[Callable[[float, str], None]] = None) -> None:
@@ -155,13 +146,12 @@ class Simulator:
         self._seq = 0
         self._trace = trace
         self._events_executed = 0
-        #: extra executions credited by coalesced drains that deliver more
-        #: than one entry per timer fire (see SerialDrain)
+        #: extra executions credited by drains that deliver more than one
+        #: entry per timer fire (see SerialDrain)
         self._extra_events = 0
         # Actors register a "blocked reason" here so that deadlocks can be
         # diagnosed; see DeadlockError.
         self._blocked_actors: dict[Any, str] = {}
-        self._running = False
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -347,46 +337,6 @@ class Simulator:
     def events_executed(self) -> int:
         return self._events_executed + self._extra_events
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending live event, or None when idle."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            b = buckets[t]
-            entries = b if type(b[0]) is list else (b,)
-            if any(entry[_FN] is not None for entry in entries):
-                return t
-            heappop(times)
-            del buckets[t]
-        return None
-
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when nothing is pending."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            b = buckets[t]
-            bucket = b if type(b[0]) is list else [b]
-            while bucket:
-                entry = bucket.pop(0)
-                if not bucket:
-                    heappop(times)
-                    del buckets[t]
-                else:
-                    buckets[t] = bucket
-                fn = entry[_FN]
-                if fn is None:
-                    continue
-                self.now = t
-                self._events_executed += 1
-                if self._trace is not None:
-                    self._trace(t, getattr(fn, "__qualname__", repr(fn)))
-                fn(*entry[_ARGS])
-                return True
-        return False
-
     def run(
         self,
         until: Optional[float] = None,
@@ -412,7 +362,6 @@ class Simulator:
         scheduled *at* the timestamp being drained join the live bucket
         and execute in the same iteration (the now-queue).
         """
-        self._running = True
         times = self._times
         buckets = self._buckets
         live = self._live
@@ -431,8 +380,7 @@ class Simulator:
                         single_done = False
                         self._live_time = t
                         # the clock advances with the first *live* entry
-                        # (cancelled-only buckets leave it untouched,
-                        # matching the reference engine)
+                        # (a cancelled event never moves it)
                         if type(b[0]) is not list:
                             # bare entry: the common single-event timestamp
                             fn = b[_FN]
@@ -472,8 +420,8 @@ class Simulator:
                 while times:
                     t = times[0]
                     if until is not None and t > until:
-                        # cancelled-only buckets beyond the deadline stay
-                        # parked, matching the reference engine
+                        # only a live event beyond the deadline stops the
+                        # run; cancelled-only buckets are discarded
                         head = buckets[t]
                         entries = head if type(head[0]) is list else (head,)
                         if any(e[_FN] is not None for e in entries):
@@ -538,169 +486,6 @@ class Simulator:
             raise
         finally:
             self._live_time = _NO_LIVE
-            self._running = False
-
-
-class ReferenceSimulator(Simulator):
-    """One-heap-entry-per-event engine (the seed implementation).
-
-    Selected by ``engine_coalesce=False``; the A/B reference the macro
-    engine's bit-identity is benchmarked and property-tested against.
-    """
-
-    coalesced = False
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, trace: Optional[Callable[[float, str], None]] = None) -> None:
-        super().__init__(trace)
-        self._heap: list[list] = []
-
-    # ------------------------------------------------------------------ #
-    # scheduling
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        if not delay >= 0:  # also catches NaN
-            raise SimulationError(f"negative or NaN delay: {delay!r}")
-        # inlined at(): a non-negative delay can never land in the past
-        self._seq = seq = self._seq + 1
-        entry = [self.now + delay, seq, fn, args]
-        heappush(self._heap, entry)
-        return EventHandle(entry)
-
-    def at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past: {time} < now={self.now}"
-            )
-        self._seq = seq = self._seq + 1
-        entry = [time, seq, fn, args]
-        heappush(self._heap, entry)
-        return EventHandle(entry)
-
-    def post(self, time: float, fn: Callable[..., None], *args: Any) -> None:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past: {time} < now={self.now}"
-            )
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, [time, seq, fn, args])
-
-    def call_soon(self, fn: Callable[..., None], *args: Any) -> EventHandle:
-        return self.at(self.now, fn, *args)
-
-    def schedule_bulk(
-        self, items: Iterable[tuple[float, Callable[..., None], tuple]]
-    ) -> None:
-        """Bulk scheduling; a batch at least as large as the pending heap
-        is appended and re-heapified in one O(n) pass."""
-        heap = self._heap
-        now = self.now
-        seq = self._seq
-        batch = []
-        for delay, fn, args in items:
-            if not delay >= 0:
-                raise SimulationError(f"negative or NaN delay: {delay!r}")
-            seq += 1
-            batch.append([now + delay, seq, fn, args])
-        self._seq = seq
-        if len(batch) >= len(heap):
-            heap.extend(batch)
-            heapq.heapify(heap)
-        else:
-            for entry in batch:
-                heappush(heap, entry)
-
-    def post_at_seq(self, time: float, seq: int, fn: Callable[..., None], *args: Any) -> None:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past: {time} < now={self.now}"
-            )
-        heappush(self._heap, [time, seq, fn, args])
-
-    # ------------------------------------------------------------------ #
-    # execution
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][_FN] is None:
-            heappop(heap)
-        return heap[0][_TIME] if heap else None
-
-    def step(self) -> bool:
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            fn = entry[_FN]
-            if fn is None:
-                continue
-            self.now = entry[_TIME]
-            self._events_executed += 1
-            if self._trace is not None:
-                self._trace(self.now, getattr(fn, "__qualname__", repr(fn)))
-            fn(*entry[_ARGS])
-            return True
-        return False
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        check_deadlock: bool = True,
-    ) -> None:
-        self._running = True
-        heap = self._heap
-        pop = heappop
-        try:
-            if until is None and max_events is None and self._trace is None:
-                executed = self._events_executed
-                try:
-                    while heap:
-                        entry = pop(heap)
-                        fn = entry[_FN]
-                        if fn is None:
-                            continue
-                        self.now = entry[_TIME]
-                        executed += 1
-                        fn(*entry[_ARGS])
-                finally:
-                    self._events_executed = executed
-            else:
-                trace = self._trace
-                executed = 0
-                while heap:
-                    entry = heap[0]
-                    fn = entry[_FN]
-                    if fn is None:
-                        pop(heap)
-                        continue
-                    t = entry[_TIME]
-                    if until is not None and t > until:
-                        self.now = until
-                        return
-                    if max_events is not None and executed >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    pop(heap)
-                    self.now = t
-                    self._events_executed += 1
-                    if trace is not None:
-                        trace(t, getattr(fn, "__qualname__", repr(fn)))
-                    fn(*entry[_ARGS])
-                    executed += 1
-            if check_deadlock and self._blocked_actors:
-                raise DeadlockError(
-                    sorted(str(r) for r in self._blocked_actors.values())
-                )
-        finally:
-            self._running = False
-
-
-def make_simulator(
-    trace: Optional[Callable[[float, str], None]] = None,
-    coalesce: bool = True,
-) -> Simulator:
-    """Engine factory keyed by the ``engine_coalesce`` cluster knob."""
-    return Simulator(trace) if coalesce else ReferenceSimulator(trace)
 
 
 class SerialDrain:
@@ -716,10 +501,14 @@ class SerialDrain:
     times are strictly increasing), and re-arms at the new head's reserved
     slot.  Claimed slots make execution order — and therefore the whole
     simulation — bit-identical to scheduling each entry individually,
-    while heap occupancy drops from O(queued work) to O(resources).
+    while heap occupancy drops from O(queued work) to O(resources).  The
+    precondition is load-bearing: a completion booked for ``now``, or
+    equal completions enqueued with another event's seq between theirs,
+    are delivered out of ``(time, seq)`` order.
 
     Entries delivered beyond the head in one fire are credited back to
-    ``events_executed`` so event counts stay comparable across modes.
+    ``events_executed``, which therefore counts deliveries, not timer
+    fires.
     """
 
     __slots__ = ("sim", "pending", "armed", "_entry")
@@ -794,15 +583,15 @@ class SerialDrain:
             while pending and pending[0][0] <= now:
                 # completion times are strictly increasing for the
                 # resources drained this way, so this is defensive; extra
-                # deliveries are credited to keep events_executed
-                # comparable across engines
+                # deliveries are credited so events_executed counts one
+                # per delivery
                 e = pending.popleft()
                 e[2](*e[3])
                 sim.credit_events(1)
         finally:
             # re-arm even when a delivery raised: the raising entry is
-            # consumed (like the raising event on the reference engine)
-            # but the rest of the queue must survive a resumed run()
+            # consumed (like any raising event) but the rest of the queue
+            # must survive a resumed run()
             if pending:
                 head = pending[0]
                 self._arm(head[0], head[1])

@@ -16,14 +16,13 @@ experiments are sensitive to:
 * **Goodput**: Ethernet/IP/TCP framing is modelled as a fixed per-message
   header plus a goodput factor on the raw 100 Mbit/s wire.
 
-Delivery coalescing (the ``engine_coalesce`` knob): RX reservations are
-serial per NIC, so each NIC books strictly increasing delivery times.  On a
-coalescing engine every NIC keeps its in-flight deliveries in one
+RX reservations are serial per NIC, so each NIC books strictly increasing
+delivery times and keeps its in-flight deliveries in one
 :class:`~repro.simulator.engine.SerialDrain` — a pending deque plus a
 single drain timer riding the heap at the head delivery's pre-claimed
-``(time, seq)`` slot — instead of one heap entry per message.  Heap
-occupancy drops from O(in-flight messages) to O(NICs) at bit-identical
-delivery order.
+``(time, seq)`` slot — instead of one heap entry per message: heap
+occupancy is O(NICs), not O(in-flight messages), at the delivery order
+per-message posts would give.
 
 No topology beyond a single switch is modelled; the paper's cluster used
 one Fast Ethernet switch.
@@ -96,11 +95,8 @@ class Nic:
         self._tx_busy_until = 0.0
         self._rx_busy_until = 0.0
         self.stats = TransferStats()
-        #: coalesced in-flight deliveries (None on the reference engine:
-        #: the network posts one heap entry per message instead)
-        self.rx_drain: Optional[SerialDrain] = (
-            SerialDrain(sim) if sim.coalesced else None
-        )
+        #: in-flight deliveries to this NIC, one engine timer for all
+        self.rx_drain = SerialDrain(sim)
 
     # -- serialization bookkeeping ------------------------------------- #
 
@@ -254,13 +250,9 @@ class Network:
         tx_start, _tx_end = src_nic.reserve_tx(duration)
         earliest_rx = tx_start + self.latency_s + extra_latency
         _rx_start, rx_end = dst_nic.reserve_rx(earliest_rx, duration)
-        drain = dst_nic.rx_drain
-        if drain is not None:
-            # rx_end is strictly increasing per NIC (reserve_rx is serial
-            # and duration > 0), the SerialDrain precondition
-            drain.enqueue(rx_end, deliver, *args)
-        else:
-            self.sim.post(rx_end, deliver, *args)
+        # rx_end is strictly increasing per NIC (reserve_rx is serial and
+        # duration > 0), the SerialDrain precondition
+        dst_nic.rx_drain.enqueue(rx_end, deliver, *args)
         return rx_end
 
     def transfer_chunked(

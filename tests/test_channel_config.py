@@ -96,3 +96,17 @@ def test_is_causal_property():
     assert STACKS["manetho"].is_causal
     assert not STACKS["pessimistic"].is_causal
     assert not STACKS["vdummy"].is_causal
+
+
+def test_no_implementation_selecting_knob_is_left():
+    """The removed knobs chose between bit-identical implementations; a
+    config that still names one must fail loudly, not be ignored."""
+    import dataclasses
+
+    assert len(dataclasses.fields(ClusterConfig)) == 54
+    for knob in ("engine_coalesce", "pb_build_worklist", "delivery_fastpath",
+                 "partition_ranks"):
+        with pytest.raises(TypeError):
+            ClusterConfig(**{knob: True})
+        with pytest.raises(TypeError):
+            CFG.with_overrides(**{knob: True})

@@ -9,9 +9,9 @@ hidden host nondeterminism (dict iteration over object ids, host-clock
 leakage, unseeded randomness, cross-run state bleed through module
 globals) shows up here first.
 
-The knob matrix spans every subsystem with its own event sources: the
-reference engine, sharded-EL sync topologies, RPC timeout/retry timers,
-randomized checkpoint scheduling, and fault injection with replay.
+The knob matrix spans every subsystem with its own event sources:
+sharded-EL sync topologies, RPC timeout/retry timers, randomized
+checkpoint scheduling, and fault injection with replay.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ def test_every_protocol_is_reproducible(stack):
 @pytest.mark.parametrize(
     "knobs",
     [
-        {"engine_coalesce": False},
         {"el_count": 4, "el_sync_strategy": "multicast"},
         {"el_count": 4, "el_sync_strategy": "tree"},
         {"rpc_timeout_s": 0.05},
@@ -55,7 +54,7 @@ def test_every_protocol_is_reproducible(stack):
     ids=lambda k: ",".join(f"{n}={v}" for n, v in k.items()),
 )
 def test_knob_matrix_is_reproducible(knobs):
-    """Each engine/EL/RPC knob must stay deterministic in isolation."""
+    """Each EL/RPC knob must stay deterministic in isolation."""
     assert_reproducible("vcausal", **knobs)
 
 

@@ -134,14 +134,6 @@ def test_events_executed_counter():
     assert sim.events_executed == 7
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    h = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    h.cancel()
-    assert sim.peek_time() == 2.0
-
-
 def test_trace_hook_invoked():
     traced = []
     sim = Simulator(trace=lambda t, label: traced.append(t))

@@ -1,12 +1,12 @@
-"""Dirty-creator worklist equivalence (PR 4 tentpole).
+"""Dirty-creator worklist equivalence.
 
-The worklist build loop (``ClusterConfig.pb_build_worklist``) is a host
-wall-clock optimisation: it must never change *what* is simulated.  These
-tests drive every causal protocol through random send / receive / prune /
-checkpoint-restore interleavings twice — worklist and full-scan reference
-— and assert byte-identical piggybacks (events, order, run table, bytes)
-and identical charged costs at every step, plus the two regressions the
-refactor is most likely to break:
+The worklist build loop is a host wall-clock optimisation: it must never
+change *what* is simulated.  These tests drive every causal protocol
+through random send / receive / prune / checkpoint-restore interleavings
+twice — the protocol as shipped and its full-scan twin
+(:func:`tests.oracles.full_scan`) — and assert byte-identical piggybacks
+(events, order, run table, bytes) and identical charged costs at every
+step, plus the two regressions the worklist is most likely to break:
 
 * a checkpoint restore must repopulate the dirty sets, or the first
   post-restore piggyback on a previously-synced channel ships stale
@@ -18,6 +18,7 @@ refactor is most likely to break:
 from __future__ import annotations
 
 import copy
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,9 @@ from repro.core.manetho import ManethoProtocol
 from repro.core.vcausal import VcausalProtocol
 from repro.metrics.probes import ProcessProbes
 from tests.conftest import ring_app, run_ring
+from tests.oracles import full_scan
 
-CFG_WORKLIST = ClusterConfig().with_overrides(pb_build_worklist=True)
-CFG_FULLSCAN = ClusterConfig().with_overrides(pb_build_worklist=False)
+CFG = ClusterConfig()
 PROTOCOLS = [VcausalProtocol, ManethoProtocol, LogOnProtocol]
 
 
@@ -43,9 +44,10 @@ class TwinWorlds:
 
     def __init__(self, cls, n: int):
         self.cls = cls
+        self.fs_cls = full_scan(cls)
         self.n = n
-        self.wl = [cls(r, n, CFG_WORKLIST, ProcessProbes(rank=r)) for r in range(n)]
-        self.fs = [cls(r, n, CFG_FULLSCAN, ProcessProbes(rank=r)) for r in range(n)]
+        self.wl = [cls(r, n, CFG, ProcessProbes(rank=r)) for r in range(n)]
+        self.fs = [self.fs_cls(r, n, CFG, ProcessProbes(rank=r)) for r in range(n)]
         self.clocks = [0] * n
         self.ssn: dict[tuple[int, int], int] = {}
         self.stable = [0] * n
@@ -87,12 +89,12 @@ class TwinWorlds:
         one — the case where stale per-channel worklist cursors would
         out-tick the repopulated growth log and mark everything clean.
         """
-        for protos, cfg in ((self.wl, CFG_WORKLIST), (self.fs, CFG_FULLSCAN)):
+        for protos, cls in ((self.wl, self.cls), (self.fs, self.fs_cls)):
             state = copy.deepcopy(protos[rank].export_state())
             if in_place:
                 protos[rank].restore_state(state)
                 continue
-            fresh = self.cls(rank, self.n, cfg, ProcessProbes(rank=rank))
+            fresh = cls(rank, self.n, CFG, ProcessProbes(rank=rank))
             fresh.restore_state(state)
             protos[rank] = fresh
 
@@ -195,18 +197,17 @@ def test_logon_accept_consumes_runs_not_determinants():
     from repro.core.piggyback import creator_runs, flat_bytes
 
     assert list(pb.runs) == creator_runs(pb.events)
-    assert pb.nbytes == flat_bytes(pb.events, CFG_WORKLIST)  # wire unchanged
+    assert pb.nbytes == flat_bytes(pb.events, CFG)  # wire unchanged
 
 
 # --------------------------------------------------------------------- #
 # full-cluster regressions (checkpoint + kill/replay through the daemon)
 
-def _ring_results(stack: str, config: ClusterConfig, fault_plan=None):
+def _ring_results(stack: str, fault_plan=None):
     result = run_ring(
         stack,
         nprocs=4,
         iterations=25,
-        config=config,
         checkpoint_policy="round-robin",
         checkpoint_interval_s=0.03,
         fault_plan=fault_plan,
@@ -216,24 +217,32 @@ def _ring_results(stack: str, config: ClusterConfig, fault_plan=None):
 
 
 @pytest.mark.parametrize("stack", ["vcausal", "vcausal-noel", "manetho-noel", "logon-noel"])
-def test_kill_replay_identical_across_build_modes(stack):
+def test_kill_replay_identical_across_build_modes(stack, monkeypatch):
     """Kill/replay at a 10 ms fault period with checkpoints: the worklist
     run must match the full-scan reference (results, simulated time,
     piggyback totals) and the fault-free baseline results.  A restore that
     forgot to re-dirty the worklist would diverge here: the restarted rank
     would piggyback stale causality into the replay traffic."""
-    baseline = _ring_results(stack, CFG_WORKLIST).results
+    baseline = _ring_results(stack).results
     # 10 ms period, starting after the first checkpoint waves have
     # committed so at least one recovery restores a real snapshot (the
     # restore_state path) rather than restarting from scratch
     plan = PeriodicFaults(per_minute=6000.0, start_s=0.15, max_faults=3)
-    runs = {}
-    for name, cfg in (("worklist", CFG_WORKLIST), ("fullscan", CFG_FULLSCAN)):
-        r = _ring_results(stack, cfg, fault_plan=plan)
+
+    def faulty_run():
+        r = _ring_results(stack, fault_plan=plan)
         assert r.probes.total("restarts") >= 1
         assert r.probes.checkpoints_stored > 0
-        runs[name] = r
-    wl, fs = runs["worklist"], runs["fullscan"]
+        return r
+
+    wl = faulty_run()
+    # make_protocol resolves the class from its module at call time
+    cls = {c.name: c for c in PROTOCOLS}[stack.split("-")[0]]
+    monkeypatch.setattr(sys.modules[cls.__module__], cls.__name__, full_scan(cls))
+    fs = faulty_run()
+    assert fs.probes.total("pb_build_seqs_scanned") > wl.probes.total(
+        "pb_build_seqs_scanned"
+    )  # the twin really ran
     assert wl.results == baseline
     assert wl.results == fs.results
     assert wl.sim_time == fs.sim_time
