@@ -160,11 +160,11 @@ def engine_fanout(n_events: int):
 
 
 def engine_samestamp(rounds: int, width: int, fan: int = 4):
-    """Macro-event stress: wide same-timestamp bursts + zero-delay fan-out.
+    """Same-timestamp stress: wide bursts + zero-delay fan-out.
 
-    Every round schedules ``width`` bursts at one shared timestamp (one
-    macro-event bucket) and each burst ``call_soon``-spawns ``fan`` leaves
-    (the now-queue): the shape the timestamp buckets exist for."""
+    Every round schedules ``width`` bursts at one shared timestamp and
+    each burst ``call_soon``-spawns ``fan`` leaves at that instant, so the
+    heap breaks every tie on ``seq``."""
     from repro.simulator.engine import Simulator
 
     sim = Simulator()

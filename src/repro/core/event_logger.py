@@ -26,7 +26,7 @@ from repro.core.bounds import BoundVector
 from repro.core.events import Determinant
 from repro.metrics.probes import ClusterProbes
 from repro.runtime.config import ClusterConfig
-from repro.simulator.engine import SerialDrain, Simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.network import Network
 
 #: host name of the EL's NIC in every deployment
@@ -108,13 +108,24 @@ class EventLogger:
         #: disk failover rebuilds) — the journal then no longer mirrors
         #: the vector and acks fall back to plain snapshots.
         self._ack_fast = True
+        #: when the single-threaded select loop next falls idle
         self._busy_until = 0.0
         self._queued = 0
-        # The select loop completes services in strictly increasing
-        # _busy_until order, so one SerialDrain timer carries the whole
-        # service queue: heap occupancy stays O(1) per logger even when
-        # the EL saturates and the queue grows.
-        self._serve_drain = SerialDrain(sim)
+
+    def _book(self, service: float) -> float:
+        """Queue ``service`` seconds of select-loop work behind whatever is
+        already booked; returns its completion time."""
+        start = max(self.sim.now, self._busy_until)
+        done = start + service
+        self._busy_until = done
+        self.probes.el_busy_time_s += service
+        return done
+
+    @staticmethod
+    def _bulk_service_s(n: int) -> float:
+        """One scan-and-stream pass over ``n`` records (bulk fetch, disk
+        ingest): fixed setup plus a small per-record cost."""
+        return 50e-6 + 1.5e-6 * n
 
     def ack_vector_bytes(self, vector: BoundVector) -> int:
         """Wire size of a stable-vector payload (without the fixed header).
@@ -150,14 +161,8 @@ class EventLogger:
         self._queued += 1
         if self._queued > self.probes.el_peak_queue:
             self.probes.el_peak_queue = self._queued
-        service = cfg.el_service_time_s * max(1, len(dets))
-        start = max(self.sim.now, self._busy_until)
-        done = start + service
-        self._busy_until = done
-        self.probes.el_busy_time_s += service
-        self._serve_drain.enqueue(
-            done, self._serve_log, src_rank, dets, ack_to, ack_host
-        )
+        done = self._book(cfg.el_service_time_s * max(1, len(dets)))
+        self.sim.post(done, self._serve_log, src_rank, dets, ack_to, ack_host)
 
     def _ack_vector(self) -> BoundVector:
         """Stable-vector snapshot an ack carries (shards merge peer views)."""
@@ -240,15 +245,9 @@ class EventLogger:
             return
         cfg = self.config
         dets = [d for d in self.store[creator] if d.clock > clock_after]
-        service = 50e-6 + 1.5e-6 * len(dets)
-        start = max(self.sim.now, self._busy_until)
-        done = start + service
-        self._busy_until = done
-        self.probes.el_busy_time_s += service
+        done = self._book(self._bulk_service_s(len(dets)))
         nbytes = cfg.el_ack_wire_bytes + len(dets) * cfg.event_record_bytes
-        self._serve_drain.enqueue(
-            done, self._serve_fetch, dets, nbytes, reply_to, reply_host
-        )
+        self.sim.post(done, self._serve_fetch, dets, nbytes, reply_to, reply_host)
 
     def _serve_fetch(
         self,
@@ -276,10 +275,7 @@ class EventLogger:
             for det in records[creator]:
                 self._store(det)
                 n += 1
-        service = 50e-6 + 1.5e-6 * n
-        start = max(self.sim.now, self._busy_until)
-        self._busy_until = start + service
-        self.probes.el_busy_time_s += service
+        self._book(self._bulk_service_s(n))
         return n
 
     def finish_rebuild(self, creators: Iterable[int]) -> None:

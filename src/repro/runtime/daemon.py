@@ -51,7 +51,7 @@ from repro.core.sender_log import SenderLog
 from repro.metrics.probes import ProcessProbes, RecoveryRecord
 from repro.runtime.channel import PlanSelector
 from repro.runtime.config import ClusterConfig, StackSpec
-from repro.simulator.engine import SerialDrain, SimulationError
+from repro.simulator.engine import SimulationError
 from repro.simulator.process import Future, SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,7 +84,7 @@ class Vdaemon:
         "cluster", "sim", "network", "rank", "spec", "config", "probes",
         "host", "wire_sink", "hand_to_app", "el_log_send", "protocol",
         "sender_log", "alive", "clock", "ssn_next",
-        "last_ssn", "_proc_busy_until", "_recv_drain", "_plan_send",
+        "last_ssn", "_proc_busy_until", "_plan_send",
         "_recv_delay_cache", "trace_sink", "in_replay",
         "recovering", "_replay_dets", "_replay_idx", "_replay_buffer",
         "_resend_floor", "_stability_waiters",
@@ -119,12 +119,9 @@ class Vdaemon:
         self.clock = 0                      # rsn counter
         self.ssn_next: dict[int, int] = {}
         self.last_ssn: dict[int, int] = {}
+        # The single-threaded daemon processes receptions serially: each
+        # hand-to-app is posted at the completion time booked here.
         self._proc_busy_until = 0.0
-        # The single-threaded daemon finishes receptions in strictly
-        # increasing _proc_busy_until order, so the whole receive pipeline
-        # rides one SerialDrain timer instead of one heap entry per
-        # hand-to-app.
-        self._recv_drain = SerialDrain(self.sim)
         self._plan_send = PlanSelector(config)
         # The compiled delivery closures, installed by cluster wiring
         # (runtime/fastpath.py) once the MPI contexts exist:
@@ -657,7 +654,7 @@ class Vdaemon:
         duration = self._recv_base_delay(msg.nbytes) + pb_cost
         ready = start + duration
         self._proc_busy_until = ready
-        self._recv_drain.enqueue(ready, self.hand_to_app, msg)
+        self.sim.post(ready, self.hand_to_app, msg)
 
     def _finish_replay(self) -> None:
         if not self.in_replay and not self._replay_buffer:

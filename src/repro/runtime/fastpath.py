@@ -73,16 +73,12 @@ def _compile_reception(
     probes = d.probes
     rank = d.rank
     is_logging = d.is_logging
-    drain = d._recv_drain
     delay_cache = d._recv_delay_cache
     hand = d.hand_to_app
     el_log_send = d.el_log_send
     last_ssn = d.last_ssn
     last_ssn_get = last_ssn.get
-    # the drain's in-order append (the overwhelmingly common case) is
-    # inlined below; the deque identity is stable for the drain's lifetime
-    drain_pending = drain.pending
-    drain_enqueue = drain.enqueue
+    post = sim.post
 
     # simlint: hot
     def on_wire(msg: WireMessage) -> None:
@@ -126,13 +122,7 @@ def _compile_reception(
             delay = d._recv_base_delay(msg.nbytes)
         ready = start + (delay + pb_cost)
         d._proc_busy_until = ready
-        # SerialDrain.enqueue's in-order branch, inlined: claim the next
-        # engine seq and join the armed queue's tail
-        if drain_pending and ready >= drain_pending[-1][0]:
-            sim._seq = seq = sim._seq + 1
-            drain_pending.append([ready, seq, hand, (msg,)])
-        else:
-            drain_enqueue(ready, hand, msg)
+        post(ready, hand, msg)
 
     return on_wire
 

@@ -16,13 +16,8 @@ experiments are sensitive to:
 * **Goodput**: Ethernet/IP/TCP framing is modelled as a fixed per-message
   header plus a goodput factor on the raw 100 Mbit/s wire.
 
-RX reservations are serial per NIC, so each NIC books strictly increasing
-delivery times and keeps its in-flight deliveries in one
-:class:`~repro.simulator.engine.SerialDrain` — a pending deque plus a
-single drain timer riding the heap at the head delivery's pre-claimed
-``(time, seq)`` slot — instead of one heap entry per message: heap
-occupancy is O(NICs), not O(in-flight messages), at the delivery order
-per-message posts would give.
+Every delivery is one engine event, posted at the time the receiver's RX
+link has taken the last byte.
 
 No topology beyond a single switch is modelled; the paper's cluster used
 one Fast Ethernet switch.
@@ -33,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.simulator.engine import SerialDrain, SimulationError, Simulator
+from repro.simulator.engine import SimulationError, Simulator
 
 
 @dataclass(slots=True)
@@ -76,7 +71,7 @@ class Nic:
 
     __slots__ = (
         "sim", "name", "bandwidth_bps", "full_duplex",
-        "_tx_busy_until", "_rx_busy_until", "stats", "rx_drain",
+        "_tx_busy_until", "_rx_busy_until", "stats",
     )
 
     def __init__(
@@ -95,8 +90,6 @@ class Nic:
         self._tx_busy_until = 0.0
         self._rx_busy_until = 0.0
         self.stats = TransferStats()
-        #: in-flight deliveries to this NIC, one engine timer for all
-        self.rx_drain = SerialDrain(sim)
 
     # -- serialization bookkeeping ------------------------------------- #
 
@@ -126,14 +119,6 @@ class Nic:
         if not self.full_duplex:
             self._tx_busy_until = end
         return start, end
-
-    @property
-    def tx_busy_until(self) -> float:
-        return self._tx_busy_until
-
-    @property
-    def rx_busy_until(self) -> float:
-        return self._rx_busy_until
 
 
 class Network:
@@ -250,9 +235,7 @@ class Network:
         tx_start, _tx_end = src_nic.reserve_tx(duration)
         earliest_rx = tx_start + self.latency_s + extra_latency
         _rx_start, rx_end = dst_nic.reserve_rx(earliest_rx, duration)
-        # rx_end is strictly increasing per NIC (reserve_rx is serial and
-        # duration > 0), the SerialDrain precondition
-        dst_nic.rx_drain.enqueue(rx_end, deliver, *args)
+        self.sim.post(rx_end, deliver, *args)
         return rx_end
 
     def transfer_chunked(

@@ -1,10 +1,21 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit and property tests for the discrete-event engine.
+
+The ordering contract is stated here without a reference engine: whatever
+mix of scheduling calls produced them, exactly the non-cancelled entries
+fire, sorted by ``(time, scheduling order)``.
+"""
 
 import math
+import random
 
 import pytest
 
-from repro.simulator.engine import DeadlockError, SimulationError, Simulator
+from repro.simulator.engine import (
+    DeadlockError,
+    SerialDrain,
+    SimulationError,
+    Simulator,
+)
 
 
 def test_events_execute_in_time_order():
@@ -238,3 +249,148 @@ def test_nested_scheduling_from_callbacks():
     sim.run()
     assert order == ["outer", "inner"]
     assert sim.now == 2.0
+
+
+def test_run_until_before_now_raises():
+    sim = Simulator()
+    fired = []
+    sim.schedule(5.0, fired.append, 5)
+    sim.schedule(9.0, fired.append, 9)
+    sim.run(until=6.0)
+    with pytest.raises(SimulationError, match="past"):
+        sim.run(until=2.0)
+    assert sim.now == 6.0  # the clock never rewinds
+    with pytest.raises(SimulationError):
+        sim.post(3.0, fired.append, 3)
+    sim.run()
+    assert fired == [5, 9]
+
+
+def test_max_events_runs_exactly_max_before_error():
+    sim = Simulator()
+    fired = []
+    for i in range(5):
+        sim.schedule(float(i + 1), fired.append, i)
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=3)
+    # exactly max_events events ran, and the excess stayed scheduled
+    assert fired == [0, 1, 2]
+    assert sim.events_executed == 3
+    sim.run()
+    assert fired == [0, 1, 2, 3, 4]
+
+
+def test_max_events_exact_budget_completes():
+    sim = Simulator()
+    for _ in range(3):
+        sim.schedule(1.0, lambda: None)
+    sim.run(max_events=3)  # exactly enough: no error
+    assert sim.events_executed == 3
+
+
+@pytest.mark.parametrize("run_kwargs", [{}, {"until": 10.0}], ids=["lean", "general"])
+def test_raising_callback_is_consumed_and_run_resumes(run_kwargs):
+    sim = Simulator()
+    order = []
+
+    def boom():
+        order.append("boom")
+        raise RuntimeError("boom")
+
+    sim.schedule(1.0, order.append, "a")
+    sim.schedule(2.0, boom)
+    sim.schedule(2.0, order.append, "b")
+    sim.schedule(3.0, order.append, "c")
+    with pytest.raises(RuntimeError):
+        sim.run(**run_kwargs)
+    assert order == ["a", "boom"]
+    assert sim.now == 2.0
+    sim.run(**run_kwargs)
+    assert order == ["a", "boom", "b", "c"]
+    assert sim.events_executed == 4
+
+
+def test_serial_drain_shim_is_post():
+    """``enqueue`` is ``post``: equal ready times with another event's seq
+    between theirs fire in seq order, not adjacent."""
+    sim = Simulator()
+    order = []
+    drain = SerialDrain(sim)
+    drain.enqueue(5.0, order.append, "A")
+    sim.post(5.0, order.append, "X")
+    drain.enqueue(5.0, order.append, "B")
+    sim.run()
+    assert order == ["A", "X", "B"]
+
+
+# --------------------------------------------------------------------- #
+# the ordering contract as a property
+
+
+def _random_program(sim, seed):
+    """Install a self-extending random program on ``sim``.
+
+    Returns ``(records, fired)``: ``records`` holds one ``[time, index,
+    cancelled]`` per scheduling call, in call order; ``fired`` collects the
+    indices as their callbacks run.  The random stream is consumed inside
+    the callbacks, so one misordered event changes the rest of the program.
+    """
+    rng = random.Random(seed)
+    records, fired, handles = [], [], []
+
+    def submit(budget):
+        op = rng.choice(["schedule", "at", "post", "call_soon", "bulk"])
+        delay = rng.choice([0.0, 0.0, 0.25, 0.5, 1.0, rng.uniform(0.0, 1.5)])
+        if op == "call_soon":
+            delay = 0.0
+        rec = [sim.now + delay, len(records), False]
+        records.append(rec)
+
+        def cb():
+            assert sim.now == rec[0]
+            fired.append(rec[1])
+            for _ in range(rng.randint(0, 2) if budget else 0):
+                submit(budget - 1)
+            if handles and rng.random() < 0.25:
+                handle, victim = handles.pop(rng.randrange(len(handles)))
+                handle.cancel()
+                if victim[1] not in fired:
+                    victim[2] = True
+
+        if op == "schedule":
+            handles.append((sim.schedule(delay, cb), rec))
+        elif op == "at":
+            handles.append((sim.at(rec[0], cb), rec))
+        elif op == "post":
+            sim.post(rec[0], cb)
+        elif op == "call_soon":
+            handles.append((sim.call_soon(cb), rec))
+        else:
+            sim.schedule_bulk([(delay, cb, ())])
+
+    for _ in range(12):
+        submit(3)
+    return records, fired
+
+
+def _due(records, until=math.inf):
+    return [r[1] for r in sorted(records) if not r[2] and r[0] <= until]
+
+
+@pytest.mark.parametrize("mode", ["whole", "until", "max_events"])
+@pytest.mark.parametrize("seed", range(12))
+def test_random_programs_fire_by_time_then_scheduling_order(seed, mode):
+    sim = Simulator()
+    records, fired = _random_program(sim, seed)
+    if mode == "until":
+        for until in (0.5, 1.25):
+            sim.run(until=until)
+            assert fired == _due(records, until)
+    elif mode == "max_events":
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=7)
+        assert len(fired) == sim.events_executed == 7
+    sim.run()
+    assert fired == _due(records)
+    assert sim.events_executed == len(fired) > 10
+    assert any(r[2] for r in records)  # cancellations happened

@@ -16,6 +16,7 @@ Three layers:
 
 from __future__ import annotations
 
+import ast
 import re
 import subprocess
 import sys
@@ -190,6 +191,33 @@ def test_simlint_clean_on_src_and_tools():
     )
     unsuppressed = [f.render() for f in findings if not f.suppressed]
     assert unsuppressed == []
+
+
+def _simulator_private_uses(source: str) -> list[tuple[int, str]]:
+    """``(line, attr)`` of every ``sim._attr`` / ``<obj>.sim._attr``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name == "sim":
+                hits.append((node.lineno, node.attr))
+    return sorted(hits)
+
+
+def test_engine_internals_stay_private():
+    """Only ``simulator/engine.py`` touches a Simulator's underscore
+    attributes: the engine can be replaced without reading its callers."""
+    probe = "a = self.sim._seq\nsim._heap.clear()\nsim.post(1.0, f)\nself._sim = sim\n"
+    assert _simulator_private_uses(probe) == [(1, "_seq"), (2, "_heap")]
+    src = REPO_ROOT / "src" / "repro"
+    hits = {
+        path.relative_to(src).as_posix(): uses
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "simulator" / "engine.py"
+        and (uses := _simulator_private_uses(path.read_text()))
+    }
+    assert hits == {}
 
 
 def test_simlint_cli_entry():
