@@ -1,10 +1,11 @@
-"""Benchmark-harness configuration.
+"""Paper-figure test configuration.
 
-Every benchmark regenerates one paper figure/table (in fast mode) and
-times a representative kernel of it under pytest-benchmark, printing the
-same rows/series the paper reports.  Run with::
+Every ``test_fig*.py`` regenerates one paper figure/table (in fast mode),
+prints the same rows/series the paper reports and asserts its shape.
+Host time is measured by ``python3 -m benchmarks.e2e``, not here.  Run
+with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/ -s
 """
 
 import pytest
@@ -17,21 +18,6 @@ def pytest_addoption(parser):
         default=False,
         help="run full parameter sweeps instead of the fast subsets",
     )
-    parser.addoption(
-        "--run-bench",
-        action="store_true",
-        default=False,
-        help="run tests marked 'bench' (full perf scenarios; skipped by default)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-bench"):
-        return
-    skip = pytest.mark.skip(reason="perf benchmark; pass --run-bench to run")
-    for item in items:
-        if "bench" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

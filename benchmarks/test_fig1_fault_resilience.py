@@ -1,4 +1,4 @@
-"""Bench: Fig. 1 — fault resilience of the three protocol families."""
+"""Fig. 1 — fault resilience of the three protocol families."""
 
 import pytest
 
@@ -27,17 +27,13 @@ def run_faulty_bt(stack, policy, interval_s, per_minute):
         ("coordinated", "coordinated", "coordinated", 30.0),
     ],
 )
-def test_faulty_run_benchmark(benchmark, name, stack, policy, interval):
-    result = benchmark.pedantic(
-        run_faulty_bt, args=(stack, policy, interval, 4.0),
-        iterations=1, rounds=1,
-    )
+def test_faulty_run_benchmark(name, stack, policy, interval):
+    result = run_faulty_bt(stack, policy, interval, 4.0)
     assert result.finished
 
 
-def test_regenerate_fig1_curve(benchmark, fast_mode, capsys):
-    module_run = fig1_fault_resilience.run
-    results = benchmark.pedantic(module_run, kwargs=dict(fast=fast_mode), iterations=1, rounds=1)
+def test_regenerate_fig1_curve(fast_mode, capsys):
+    results = fig1_fault_resilience.run(fast=fast_mode)
     report = fig1_fault_resilience.format_report(results)
     with capsys.disabled():
         print("\n" + report)

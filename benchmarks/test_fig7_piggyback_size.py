@@ -1,4 +1,4 @@
-"""Bench: Fig. 7 — piggybacked data volume in % of exchanged data."""
+"""Fig. 7 — piggybacked data volume in % of exchanged data."""
 
 import pytest
 
@@ -13,16 +13,13 @@ def run_cell(bench, nprocs, stack, iterations):
 
 
 @pytest.mark.parametrize("stack", ["vcausal", "vcausal-noel", "manetho-noel", "logon-noel"])
-def test_cg16_piggyback_volume_benchmark(benchmark, stack):
-    result = benchmark.pedantic(
-        run_cell, args=("cg", 16, stack, 2), iterations=1, rounds=1
-    )
+def test_cg16_piggyback_volume_benchmark(stack):
+    result = run_cell("cg", 16, stack, 2)
     assert result.finished
 
 
-def test_regenerate_fig7_table(benchmark, fast_mode, capsys):
-    module_run = fig7_piggyback_size.run
-    results = benchmark.pedantic(module_run, kwargs=dict(fast=fast_mode), iterations=1, rounds=1)
+def test_regenerate_fig7_table(fast_mode, capsys):
+    results = fig7_piggyback_size.run(fast=fast_mode)
     report = fig7_piggyback_size.format_report(results)
     with capsys.disabled():
         print("\n" + report)

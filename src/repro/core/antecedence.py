@@ -15,8 +15,14 @@ knowledge discovery is a traversal that walks unknown chain segments and
 follows their cross edges.
 
 Every vertex also carries a Lamport stamp ``L(e) = 1 + max(L(chain pred),
-L(cross pred))``; sorting by it yields a linear extension of the causal
-order, which is exactly the partial-order piggyback LogOn ships.
+L(cross pred))``, the chain predecessor being the creator's nearest
+*held* lower clock; sorting by it yields the partial-order piggyback
+LogOn ships.  A vertex filling a hole below held clocks re-stamps those
+successors, so each creator's events sort by clock even when a holder
+learns them out of order (receivers store every creator run as one
+clock-ascending sequence).  The order extends the causal order as the
+holder knew it at each insertion: a cross predecessor learned after its
+dependent does not re-stamp the dependent.
 
 EL acknowledgements *prune* the graph: stable vertices and their incident
 edges are dropped ("information avoiding the emission of unnecessary
@@ -95,14 +101,25 @@ class AntecedenceGraph:
             return False  # stable (possibly compacted away): never re-admit
         if clock > seq.max_clock:
             seq.append(det)
-        elif seq.holds(clock):
+            hole = False
+        elif seq.holds(clock) or seq.merge([det]) == 0:
             return False
-        elif seq.merge([det]) == 0:
-            return False
+        else:
+            hole = True
         lamport = self.lamport
-        chain = lamport.get((creator, clock - 1), 0)
+        chain = self._stamp_below(seq, clock)
         cross = lamport.get((det.sender, det.dep), 0) if det.dep > 0 else 0
-        lamport[(creator, clock)] = 1 + max(chain, cross)
+        stamp = lamport[(creator, clock)] = 1 + max(chain, cross)
+        if hole:
+            # rare path: held successors may carry stamps at or below
+            # this one; raise them so the chain keeps sorting by clock
+            dets, lo, hi = seq.index_window(clock, seq.max_clock)
+            for i in range(lo, hi):
+                key = (creator, dets[i].clock)
+                if lamport[key] > stamp:
+                    break
+                stamp += 1
+                lamport[key] = stamp
         self._size += 1
         self.growth.mark_grown(creator)
         return True
@@ -136,16 +153,28 @@ class AntecedenceGraph:
         if split == count:
             return 0  # whole run already present
         new = dets[split:] if split else dets
+        # the run lands above every held clock: each event's nearest held
+        # chain predecessor is the previous one (the first's is below it)
+        stamp = self._stamp_below(seq, new[0].clock)
         n = seq.extend_monotonic(new)
         lamport = self.lamport
         for det in new:
-            clock = det.clock
-            chain = lamport.get((creator, clock - 1), 0)
             cross = lamport.get((det.sender, det.dep), 0) if det.dep > 0 else 0
-            lamport[(creator, clock)] = 1 + max(chain, cross)
+            stamp = lamport[(creator, det.clock)] = 1 + max(stamp, cross)
         self._size += n
         self.growth.mark_grown(creator)
         return n
+
+    def _stamp_below(self, seq: EventSequence, clock: int) -> int:
+        """Stamp of the nearest held clock of ``seq`` below ``clock``
+        (0 when none is held)."""
+        stamp = self.lamport.get((seq.creator, clock - 1))
+        if stamp is not None:
+            return stamp
+        if clock - 1 <= seq.pruned_upto:
+            return 0
+        dets, lo, hi = seq.index_window(seq.pruned_upto, clock - 1)
+        return self.lamport[(seq.creator, dets[hi - 1].clock)] if hi > lo else 0
 
     def prune(self, stable: StableVector) -> int:
         """Drop vertices made stable by the EL; returns vertices dropped.

@@ -15,8 +15,7 @@ Every collective call consumes one tag block from
 in-simulation collectives and point-to-point traffic never cross-match.
 (That overlap is simulated time only: nothing here — or anywhere under
 ``src/repro`` — uses host threads or processes, which the
-``host-thread`` simlint rule now enforces; host-side parallelism lives
-in ``benchmarks/perf/pool.py``, outside the simulated world.)
+``host-thread`` simlint rule enforces.)
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Docs check: the markdown documentation must not rot.
 
-Validators over ``docs/*.md``, the root ``README.md`` and
-``benchmarks/perf/README.md``:
+Validators over ``docs/*.md`` and the root ``README.md``:
 
 * relative markdown links resolve to existing files, and their
   ``#fragment`` parts resolve to actual headings (in-page anchors);
@@ -27,13 +26,7 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-DOC_FILES = sorted(
-    [
-        *(REPO_ROOT / "docs").glob("*.md"),
-        REPO_ROOT / "README.md",
-        REPO_ROOT / "benchmarks" / "perf" / "README.md",
-    ]
-)
+DOC_FILES = sorted([*(REPO_ROOT / "docs").glob("*.md"), REPO_ROOT / "README.md"])
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _TICK_RE = re.compile(r"`([^`\n]+)`")
@@ -157,10 +150,7 @@ def _config_field_names() -> set[str]:
 
 def _known_identifiers() -> set[str]:
     """Public attribute names a doc may legitimately backtick alongside the
-    config knobs (probe counters, stack-spec fields, recovery records),
-    plus the benchmark scenario names (``engine_chain`` must not read as a
-    knob of the ``engine_`` family)."""
-    from benchmarks.perf import run_bench
+    config knobs (probe counters, stack-spec fields, recovery records)."""
     from repro.metrics.probes import ClusterProbes, ProcessProbes, RecoveryRecord
     from repro.runtime.config import ClusterConfig, StackSpec
 
@@ -169,8 +159,6 @@ def _known_identifiers() -> set[str]:
         known |= {n for n in dir(cls) if not n.startswith("_")}
         for f in dc_fields(cls):
             known.add(f.name)
-    known |= set(run_bench.scenarios(quick=False))
-    known |= set(run_bench.scenarios(quick=True))
     return known
 
 

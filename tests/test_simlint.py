@@ -193,6 +193,30 @@ def test_simlint_clean_on_src_and_tools():
     assert unsuppressed == []
 
 
+def test_no_multiprocessing_under_src(tmp_path):
+    """Nothing anywhere under ``src/`` imports host process or thread
+    machinery (simulations are single-threaded), and the host-thread rule
+    does flag an offender when there is one."""
+    everywhere = Config(scopes={"host-thread": ["*"]}, exclude=[])
+
+    def offenders(root: Path) -> list[str]:
+        return [
+            path.relative_to(root).as_posix()
+            for path in iter_python_files([root / "src"], root, everywhere)
+            if any(
+                f.rule == "host-thread" and not f.suppressed
+                for f in lint_file(path, root, everywhere)
+            )
+        ]
+
+    assert offenders(REPO_ROOT) == []
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "clean.py").write_text("import os\n")
+    (pkg / "forks.py").write_text("from multiprocessing import Pool\n")
+    assert offenders(tmp_path) == ["src/pkg/forks.py"]
+
+
 def _simulator_private_uses(source: str) -> list[tuple[int, str]]:
     """``(line, attr)`` of every ``sim._attr`` / ``<obj>.sim._attr``."""
     hits = []

@@ -132,6 +132,27 @@ def test_worklist_piggybacks_byte_identical_to_full_scan(cls, data):
             )
 
 
+@pytest.mark.parametrize("cls", [ManethoProtocol, LogOnProtocol])
+def test_late_hole_fill_keeps_creator_clocks_ascending(cls):
+    """Rank 2 learns (0,3) from rank 0 — which had pruned (0,1),(0,2)
+    after an EL ack — before rank 1 hands it (0,1),(0,2).  Every later
+    piggyback must still list rank 0's events in clock order, or the
+    receiver stores the creator run unsorted and its checkpoint image
+    cannot be restored."""
+    world = TwinWorlds(cls, 4)
+    for _ in range(3):
+        world.send(1, 0)
+    world.send(0, 1)
+    world.ack({0: 2}, [0])
+    for src, dst in ((0, 2), (1, 2), (2, 3)):
+        pb = world.send(src, dst)
+        for creator in {d.creator for d in pb.events}:
+            clocks = [d.clock for d in pb.events if d.creator == creator]
+            assert clocks == sorted(clocks), (src, dst, creator, clocks)
+    world.restore(3)
+    assert world.wl[3].graph.get(0, 3) is not None
+
+
 @pytest.mark.parametrize("in_place", [False, True])
 @pytest.mark.parametrize("cls", PROTOCOLS)
 def test_restore_repopulates_dirty_sets(cls, in_place):

@@ -1,8 +1,7 @@
 """CLI entry point: ``python -m tools.simlint [paths...]``.
 
 Exits 0 when every finding is suppressed (or none exist), 1 otherwise —
-the same contract the tier-1 meta-test and ``run_bench.py
---check-static`` rely on.
+the contract the tier-1 meta-test relies on.
 """
 
 from __future__ import annotations

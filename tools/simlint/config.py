@@ -65,9 +65,7 @@ DEFAULT_SCOPES: dict[str, list[str]] = {
     "env-read": _SIM_PACKAGES,
     # host concurrency is banned across all of src/repro (not just the
     # four sim packages): a thread anywhere under the import graph of a
-    # simulation breaks single-threaded determinism.  Host parallelism
-    # lives outside — benchmarks/perf/pool.py runs one whole simulation
-    # per worker process.
+    # simulation breaks single-threaded determinism.
     "host-thread": ["src/repro/*"],
     # hot-path family
     "missing-slots": _SLOTS_MODULES,

@@ -14,8 +14,7 @@ methodology of ``docs/BENCHMARKING.md``:
 * ``host-thread``     — host concurrency machinery (``threading``,
   ``multiprocessing``, ``concurrent``, ``asyncio``, ``_thread``,
   ``os.fork``) in simulated code; simulations are single-threaded by
-  contract, and host parallelism runs whole simulations in separate
-  processes outside ``src/repro`` (``benchmarks/perf/pool.py``)
+  contract
 
 **Hot path** — allocation discipline for the compiled-core on-ramp:
 
