@@ -1,8 +1,13 @@
-"""Fig. 10 — time to recover the events to replay at restart."""
+"""Fig. 10 — time to recover the events to replay at restart.
+
+Regenerates Fig. 10 through the registry and runs one recovery episode
+per mode on its own.
+"""
 
 import pytest
 
-from repro.experiments import fig10_recovery
+from repro.experiments import FIGURES, fig10_recovery
+from repro.experiments.runner import regenerate
 
 
 @pytest.mark.parametrize("mode", ["vcausal", "vcausal-noel"])
@@ -12,25 +17,6 @@ def test_recovery_episode_benchmark(mode):
     assert cell["events"] > 0
 
 
-def test_regenerate_fig10_table(fast_mode, capsys):
-    results = fig10_recovery.run(fast=fast_mode)
-    report = fig10_recovery.format_report(results)
+def test_regenerate_fig10_table(capsys):
     with capsys.disabled():
-        print("\n" + report)
-    rec = results["recovery"]
-    # with-EL collection beats peer collection at every P >= 4
-    for (bench, klass, nprocs, label), cell in rec.items():
-        if label != "with EL" or nprocs < 4:
-            continue
-        other = rec[(bench, klass, nprocs, "without EL")]
-        assert cell["collection_ms"] < other["collection_ms"], (bench, nprocs)
-        assert cell["sources"] == 1
-        assert other["sources"] == nprocs - 1
-    # no-EL collection grows with the process count (scalability claim)
-    for bench, klass in (("bt", "A"), ("cg", "B"), ("lu", "A")):
-        series = [
-            cell["collection_ms"]
-            for (b, k, p, label), cell in sorted(rec.items())
-            if b == bench and k == klass and label == "without EL"
-        ]
-        assert series == sorted(series), (bench, series)
+        assert regenerate([FIGURES["fig10"]]) == 0

@@ -8,6 +8,8 @@ single-EL bottleneck directly by sweeping the EL's per-determinant service
 time on the LU skeleton (the workload that saturates it, Fig. 7), showing
 how the residual piggyback volume and application performance degrade as
 the EL slows — equivalently, as the cluster grows relative to EL capacity.
+The distributed fix (EL shards × sync topology) is the ``ablation-el``
+figure:  python -m repro.experiments.runner -e ablation-el
 
 Run:  python examples/el_saturation_ablation.py
 """
@@ -33,27 +35,6 @@ def measure(service_us: float):
     ]
 
 
-def measure_topology(strategy: str, count: int = 8):
-    """The distributed fix: ``count`` shards under one sync topology."""
-    config = ClusterConfig().with_overrides(
-        el_count=count, el_sync_strategy=strategy
-    )
-    app, _ = make_app("lu", "A", nprocs=16, iterations=2)
-    result = Cluster(
-        nprocs=16, app_factory=app, stack="vcausal", config=config
-    ).run()
-    group = result.cluster.event_logger
-    return [
-        strategy,
-        f"{result.probes.piggyback_fraction:.2f} %",
-        f"{result.mflops:.0f}",
-        f"{group.sync_messages / max(group.sync_rounds, 1):.0f}",
-        f"{group.node_push_messages / max(group.sync_rounds, 1):.0f}",
-        f"{group.sync_bytes / 1024:.0f} KiB",
-        f"{group.staleness_bound_rounds}",
-    ]
-
-
 def main():
     rows = [measure(us) for us in (5, 15, 30, 60, 120, 240)]
     # reference: no EL at all
@@ -74,36 +55,8 @@ def main():
     print(
         "\nAs the EL saturates, acknowledgments lag, processes cannot prune"
         "\nbefore their next send, and the piggyback volume climbs back"
-        "\ntoward the no-EL level — the motivation for distributing the EL."
-    )
-
-    topo_rows = [
-        measure_topology(s) for s in ("multicast", "broadcast", "tree", "gossip")
-    ]
-    print(
-        format_table(
-            [
-                "sync topology",
-                "piggyback %",
-                "Mflop/s",
-                "sync msgs/round",
-                "node pushes/round",
-                "sync traffic",
-                "staleness bound",
-            ],
-            topo_rows,
-            title=(
-                "The fix — 8 EL shards, sync topology sweep (multicast is "
-                "O(shards²) msgs/round; tree 2(shards-1); gossip shards×fanout; "
-                "sync traffic includes broadcast's node pushes)"
-            ),
-        )
-    )
-    print(
-        "\nSharding removes the saturation; the tree topology keeps the"
-        "\nshard-to-shard sync from becoming the next bottleneck as el_count"
-        "\ngrows (gossip trades a bounded view staleness for even flatter"
-        "\nper-shard fan-out)."
+        "\ntoward the no-EL level — the motivation for distributing the EL"
+        "\n(see: python -m repro.experiments.runner -e ablation-el)."
     )
 
 

@@ -16,7 +16,7 @@ This module implements exactly that design space:
   creators and keeps a (possibly stale) *global view* of the others;
 * acknowledgments carry the shard's merged global view, so nodes can prune
   events of **all** creators, not just their shard's;
-* four shard-to-shard synchronization strategies:
+* three shard-to-shard synchronization strategies:
 
   - ``"multicast"`` — each shard periodically multicasts its local slice
     of logical clocks to the other shards (nodes see fresher vectors on
@@ -30,18 +30,10 @@ This module implements exactly that design space:
     ``tree_fanout``-ary tree rooted at shard 0, the root's merged global
     view flows back root→leaf.  2·(shards−1) messages per round over
     O(log_k shards) network hops — the standard scalable-stabilization
-    fix (cf. Manetho's antecedence propagation, PAPERS.md);
-  - ``"gossip"`` — each shard pushes its merged view to ``gossip_fanout``
-    rotating peers per round (deterministic cyclic rotation).  shards ×
-    fanout messages per round; because the rotation enumerates every
-    peer offset, any shard's update reaches any other shard *directly*
-    within ``ceil((shards−1)/fanout)`` rounds — the staleness bound
-    surfaced as :attr:`EventLoggerGroup.staleness_bound_rounds` and in
-    ``ClusterProbes.el_sync_staleness_bound_rounds``.
+    fix (cf. Manetho's antecedence propagation, PAPERS.md).
 
-All four converge every shard's merged view to the same fixed point on a
-quiesced system (tested); they differ in message count and in how stale a
-shard's view of remote creators may be in between.
+All three converge every shard's merged view to the same fixed point on a
+quiesced system (tested); they differ in message count.
 
 Shard failover (``ClusterConfig.el_failover``): shards themselves run on
 volatile grid nodes.  Each shard writes determinants to stable storage
@@ -73,7 +65,7 @@ from repro.simulator.network import Network
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cluster import Cluster
 
-SYNC_STRATEGIES = ("multicast", "broadcast", "tree", "gossip")
+SYNC_STRATEGIES = ("multicast", "broadcast", "tree")
 
 
 def shard_host(index: int) -> str:
@@ -183,7 +175,6 @@ class EventLoggerGroup:
         sync_interval_s: float = 2e-3,
         node_hosts: Optional[list[str]] = None,
         tree_fanout: int = 2,
-        gossip_fanout: int = 2,
     ) -> None:
         if count < 1:
             raise ValueError("need at least one Event Logger shard")
@@ -191,8 +182,6 @@ class EventLoggerGroup:
             raise ValueError(f"unknown EL sync strategy {sync_strategy!r}")
         if tree_fanout < 1:
             raise ValueError("tree_fanout must be >= 1")
-        if gossip_fanout < 1:
-            raise ValueError("gossip_fanout must be >= 1")
         self.sim = sim
         self.network = network
         self.config = config
@@ -202,7 +191,6 @@ class EventLoggerGroup:
         self.sync_strategy = sync_strategy
         self.sync_interval_s = sync_interval_s
         self.tree_fanout = tree_fanout
-        self.gossip_fanout = gossip_fanout
         self.node_hosts = node_hosts or []
         self.shards = [
             EventLoggerShard(sim, network, config, probes, nprocs, k)
@@ -218,7 +206,7 @@ class EventLoggerGroup:
         #: per-node re-log request sinks (daemon.on_el_relog_request)
         self.relog_sinks: dict[str, Callable[[int], None]] = {}
         # merged-raise logs back the delta sync of the strategies whose
-        # shards ship their *own* view (multicast/broadcast/gossip); the
+        # shards ship their *own* view (multicast/broadcast); the
         # tree forwards the root's view as full vectors and a single
         # shard never syncs, so their logs are disabled outright
         if count == 1 or sync_strategy == "tree":
@@ -237,7 +225,6 @@ class EventLoggerGroup:
         #: counted separately so topologies compare on the same quantity)
         self.sync_messages = 0
         self.node_push_messages = 0
-        probes.el_sync_staleness_bound_rounds = self.staleness_bound_rounds
         #: liveness check set by the cluster: the periodic sync stops when
         #: the run completes, letting the event heap drain
         self.active_check: Callable[[], bool] = lambda: True
@@ -362,22 +349,6 @@ class EventLoggerGroup:
     # ------------------------------------------------------------------ #
     # synchronization
 
-    @property
-    def staleness_bound_rounds(self) -> int:
-        """Worst-case rounds before any shard's update reaches every peer
-        *directly* (transitive paths are usually faster).
-
-        multicast/broadcast/tree exchange (directly or through the root)
-        every round; gossip's cyclic rotation covers all ``count - 1`` peer
-        offsets once every ``ceil((count - 1) / fanout)`` rounds.
-        """
-        if self.count <= 1:
-            return 0
-        if self.sync_strategy != "gossip":
-            return 1
-        fanout = min(self.gossip_fanout, self.count - 1)
-        return -(-(self.count - 1) // fanout)  # ceil division
-
     def _vector_wire_bytes(self, shard: EventLoggerShard, vector: BoundVector) -> int:
         return self.config.el_ack_wire_bytes + shard.ack_vector_bytes(vector)
 
@@ -392,8 +363,6 @@ class EventLoggerGroup:
                 self._degraded_round()
             else:
                 self._tree_round()
-        elif self.sync_strategy == "gossip":
-            self._gossip_round()
         else:
             self._multicast_round()
         self._truncate_sync_logs()
@@ -537,38 +506,6 @@ class EventLoggerGroup:
                 self._tree_send_down(c.index, v)
 
             self.network.transfer(shard.host, child.host, vec_bytes, _absorb_down)
-
-    # -- gossip: push to rotating peers ---------------------------------- #
-
-    def _gossip_round(self) -> None:
-        """Each shard pushes its merged view to ``gossip_fanout`` peers
-        chosen by a deterministic cyclic rotation: count × fanout messages
-        per round, staleness bounded by :attr:`staleness_bound_rounds`."""
-        count = self.count
-        fanout = min(self.gossip_fanout, count - 1)
-        # sync_rounds was already incremented for this round: rotate from 0
-        base = (self.sync_rounds - 1) * fanout
-        for k, shard in enumerate(self.shards):
-            if not shard.alive:
-                continue
-            # sizing from the merged snapshot; peers absorb the sender's
-            # own log delta (same equivalence as the multicast round)
-            vec_bytes = self._vector_wire_bytes(shard, shard._merged)
-            upto = shard._log_base + len(shard._merged_log)  # absolute
-            for j in range(fanout):
-                offset = 1 + (base + j) % (count - 1)
-                peer = self.shards[(k + offset) % count]
-                if not peer.alive:
-                    continue
-                self.sync_messages += 1
-                self.sync_bytes += vec_bytes
-                self.network.transfer(
-                    shard.host,
-                    peer.host,
-                    vec_bytes,
-                    peer.absorb_peer_delta,
-                    args=(shard, upto),
-                )
 
     # ------------------------------------------------------------------ #
     # aggregate introspection

@@ -16,29 +16,22 @@ effectiveness) and the fault-free overhead of checkpointing itself.
 
 from __future__ import annotations
 
-from repro import Cluster
+from repro.experiments.common import Cells, run_nas
 from repro.metrics.reporting import format_table
-from repro.workloads.nas import make_app
 
 POLICIES = ("none", "round-robin", "random", "coordinated")
 
 
-def run_bt(policy: str, iterations: int):
-    app, _ = make_app("bt", "A", 9, iterations=iterations)
-    kwargs = {}
-    if policy != "none":
-        kwargs = dict(checkpoint_policy=policy, checkpoint_interval_s=0.08)
-    cluster = Cluster(nprocs=9, app_factory=app, stack="vcausal", **kwargs)
-    result = cluster.run()
-    assert result.finished
-    return result
-
-
-def run(fast: bool = True) -> dict:
+def run(fast: bool, cell: Cells) -> dict:
     iterations = 20 if fast else 60
     cells = {}
     for policy in POLICIES:
-        result = run_bt(policy, iterations)
+        result, _ = run_nas(
+            "bt", "A", 9, "vcausal",
+            iterations=iterations,
+            checkpoint_policy=policy,
+            checkpoint_interval_s=None if policy == "none" else 0.08,
+        )
         peak_log = max(
             d.sender_log.bytes_held for d in result.cluster.daemons.values()
         )
@@ -52,7 +45,7 @@ def run(fast: bool = True) -> dict:
     return {"cells": cells, "iterations": iterations}
 
 
-def format_report(results: dict) -> str:
+def table(results: dict) -> str:
     base = results["cells"]["none"]["sim_time_s"]
     rows = []
     for policy, cell in results["cells"].items():
@@ -76,11 +69,13 @@ def format_report(results: dict) -> str:
     )
 
 
-def main(fast: bool = True) -> dict:
-    results = run(fast=fast)
-    print(format_report(results))
-    return results
-
-
-if __name__ == "__main__":
-    main()
+def shapes(results: dict) -> list[str]:
+    """Checkpointing garbage-collects the sender logs; coordinated waves
+    (every receiver checkpoints together) collect the most."""
+    peak = {p: c["peak_sender_log_bytes"] for p, c in results["cells"].items()}
+    violations = []
+    if not peak["round-robin"] < peak["none"]:
+        violations.append("round-robin did not shrink the peak sender log")
+    if not peak["coordinated"] <= peak["round-robin"]:
+        violations.append("coordinated left a larger sender log than round-robin")
+    return violations

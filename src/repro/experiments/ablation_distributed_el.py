@@ -8,37 +8,33 @@ on the workload that saturates a single EL (NAS LU, 16 processes, Fig. 7):
 
 * residual piggyback volume vs number of EL shards,
 * application performance vs number of shards,
-* sync traffic and message counts across the four shard-sync topologies
-  (``multicast``/``broadcast`` — the paper's proposals — plus ``tree``
-  and ``gossip``, the scalable fixes; see
-  :mod:`repro.core.distributed_el`), with gossip's staleness bound.
+* sync traffic and message counts across the three shard-sync topologies
+  (``multicast``/``broadcast`` — the paper's proposals — plus ``tree``,
+  the scalable fix; see :mod:`repro.core.distributed_el`).
 """
 
 from __future__ import annotations
 
-from repro import Cluster, ClusterConfig
+from repro.experiments.common import Cells, run_nas
 from repro.metrics.reporting import format_table
-from repro.workloads.nas import make_app
+from repro.runtime.cluster import RunResult
+from repro.runtime.config import ClusterConfig
 
 
-def run_lu(count: int, strategy: str = "multicast", iterations: int = 2):
+def run_lu(count: int, strategy: str = "multicast", iterations: int = 2) -> RunResult:
     config = ClusterConfig().with_overrides(
         el_count=count, el_sync_strategy=strategy
     )
-    app, _ = make_app("lu", "A", 16, iterations=iterations)
-    result = Cluster(
-        nprocs=16, app_factory=app, stack="vcausal", config=config
-    ).run()
-    assert result.finished
+    result, _ = run_nas("lu", "A", 16, "vcausal", iterations=iterations, config=config)
     return result
 
 
 #: strategies swept per shard count (broadcast adds the per-node pushes,
-#: tree/gossip are the O(shards)-messages topologies)
-STRATEGIES = ("multicast", "broadcast", "tree", "gossip")
+#: tree is the O(shards)-messages topology)
+STRATEGIES = ("multicast", "broadcast", "tree")
 
 
-def run(fast: bool = True) -> dict:
+def run(fast: bool, cell: Cells) -> dict:
     iterations = 2 if fast else 6
     cells = {}
     for count in (1, 2, 4, 8):
@@ -53,13 +49,12 @@ def run(fast: bool = True) -> dict:
                 "sync_bytes": group.sync_bytes,
                 "sync_messages": group.sync_messages,
                 "node_pushes": group.node_push_messages,
-                "staleness_rounds": group.staleness_bound_rounds,
                 "peak_queue": result.probes.el_peak_queue,
             }
     return {"cells": cells, "iterations": iterations}
 
 
-def format_report(results: dict) -> str:
+def table(results: dict) -> str:
     rows = []
     for (count, strategy), cell in sorted(results["cells"].items()):
         rows.append(
@@ -71,7 +66,6 @@ def format_report(results: dict) -> str:
                 cell["sync_messages"],
                 cell["node_pushes"],
                 f"{cell['sync_bytes'] / 1024:.0f} KiB",
-                cell["staleness_rounds"],
                 cell["peak_queue"],
             ]
         )
@@ -86,22 +80,27 @@ def format_report(results: dict) -> str:
             "sync msgs",
             "node pushes",
             "sync traffic",
-            "staleness",
             "peak queue",
         ],
         rows,
         title=(
             "Ablation — distributed Event Logger on NAS LU A, 16 processes "
-            "(paper §VI proposal + tree/gossip topologies)"
+            "(paper §VI proposal + tree topology)"
         ),
     )
 
 
-def main(fast: bool = True) -> dict:
-    results = run(fast=fast)
-    print(format_report(results))
-    return results
-
-
-if __name__ == "__main__":
-    main()
+def shapes(results: dict) -> list[str]:
+    """One EL saturates on LU/16; four multicast shards lift that."""
+    cells = results["cells"]
+    single, quad = cells[(1, "multicast")], cells[(4, "multicast")]
+    violations = []
+    if not single["peak_queue"] > 20:
+        violations.append("a single EL did not build a deep service queue")
+    if not quad["peak_queue"] < single["peak_queue"] / 4:
+        violations.append("four shards did not remove the saturation")
+    if not quad["pb_percent"] < 0.5 * single["pb_percent"]:
+        violations.append("four shards did not halve the residual piggyback")
+    if not quad["mflops"] > single["mflops"]:
+        violations.append("four shards did not recover performance")
+    return violations

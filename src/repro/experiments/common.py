@@ -1,8 +1,10 @@
-"""Shared helpers for the experiment modules."""
+"""The figure registry's shared pieces: the ``Figure`` record, the NAS
+cell runner and the per-invocation cell store."""
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+from typing import Callable, Optional
 
 from repro.runtime.cluster import Cluster, RunResult
 from repro.runtime.config import ClusterConfig
@@ -76,10 +78,44 @@ def run_nas(
     return result, info
 
 
-def pb_percent_of_exec(result: RunResult) -> float:
-    """Piggyback management time in percent of execution time (per process,
-    the Fig. 8(b) metric)."""
-    if result.sim_time <= 0:
-        return 0.0
-    per_proc = result.probes.pb_total_time_s / result.nprocs
-    return 100.0 * per_proc / result.sim_time
+class Cells:
+    """Per-invocation store of fault-free NAS runs.
+
+    Figs. 7, 8 and 9 read the same (bench, class, P, stack) cells; each
+    distinct cell is simulated once and kept without its ``Cluster``.
+    """
+
+    def __init__(self) -> None:
+        self._runs: dict[tuple, RunResult] = {}
+
+    def __call__(
+        self,
+        bench: str,
+        klass: str,
+        nprocs: int,
+        stack: str,
+        fast: bool = True,
+        iterations: Optional[int] = None,
+    ) -> RunResult:
+        if iterations is None:
+            iterations = (FAST_ITERATIONS if fast else FULL_ITERATIONS).get(bench)
+        key = (bench, klass, nprocs, stack, iterations)
+        result = self._runs.get(key)
+        if result is None:
+            result, _ = run_nas(bench, klass, nprocs, stack, iterations=iterations)
+            result = self._runs[key] = dataclasses.replace(result, cluster=None)
+        return result
+
+
+@dataclasses.dataclass(frozen=True)
+class Figure:
+    """One registry entry: how to simulate, print and shape-check a figure.
+
+    ``shapes`` returns the violated shape claims (empty when the figure
+    reproduces the paper's shape)."""
+
+    name: str
+    title: str
+    run: Callable[[bool, Cells], dict]
+    table: Callable[[dict], str]
+    shapes: Callable[[dict], list[str]]

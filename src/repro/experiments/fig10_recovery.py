@@ -13,7 +13,7 @@ RX contention at the restarting node).
 
 from __future__ import annotations
 
-from repro.experiments.common import FAST_ITERATIONS, run_nas
+from repro.experiments.common import Cells, run_nas
 from repro.metrics.reporting import format_table
 from repro.runtime.failure import OneShotFaults
 
@@ -50,7 +50,10 @@ def _measure(bench: str, klass: str, nprocs: int, stack: str, iters: int) -> dic
     result, _ = run_nas(
         bench, klass, nprocs, stack, iterations=iters, fault_plan=plan
     )
-    assert result.probes.recoveries, "no recovery episode recorded"
+    if not result.probes.recoveries:
+        raise RuntimeError(
+            f"{bench} {klass} P={nprocs} stack={stack}: no recovery episode recorded"
+        )
     rec = result.probes.recoveries[0]
     return {
         "collection_ms": rec.event_collection_s * 1e3,
@@ -62,7 +65,7 @@ def _measure(bench: str, klass: str, nprocs: int, stack: str, iters: int) -> dic
     }
 
 
-def run(fast: bool = True) -> dict:
+def run(fast: bool, cell: Cells) -> dict:
     iters_map = FAST_RECOVERY_ITERATIONS if fast else RECOVERY_ITERATIONS
     out: dict[tuple[str, str, int, str], dict] = {}
     for (bench, klass), spec in PAPER_MS.items():
@@ -77,7 +80,7 @@ def run(fast: bool = True) -> dict:
     return {"recovery": out}
 
 
-def format_report(results: dict) -> str:
+def table(results: dict) -> str:
     rows = []
     for (bench, klass, nprocs, label), cell in results["recovery"].items():
         spec = PAPER_MS[(bench, klass)]
@@ -104,11 +107,28 @@ def format_report(results: dict) -> str:
     )
 
 
-def main(fast: bool = True) -> dict:
-    results = run(fast=fast)
-    print(format_report(results))
-    return results
-
-
-if __name__ == "__main__":
-    main()
+def shapes(results: dict) -> list[str]:
+    """Every restart collects events; the EL's one-server collection beats
+    the peers' from 4 processes on; the peers' grows with the process count."""
+    rec = results["recovery"]
+    violations = [
+        f"{key}: no events collected" for key, c in rec.items() if not c["events"] > 0
+    ]
+    for (bench, klass, nprocs, label), cell in rec.items():
+        if label != "with EL" or nprocs < 4:
+            continue
+        other = rec[(bench, klass, nprocs, "without EL")]
+        key = f"{bench.upper()} {klass}/{nprocs}"
+        if not cell["collection_ms"] < other["collection_ms"]:
+            violations.append(f"{key}: EL collection not faster than the peers'")
+        if not (cell["sources"] == 1 and other["sources"] == nprocs - 1):
+            violations.append(f"{key}: wrong number of event sources")
+    for bench, klass in PAPER_MS:
+        series = [
+            cell["collection_ms"]
+            for (b, k, p, label), cell in sorted(rec.items())
+            if b == bench and k == klass and label == "without EL"
+        ]
+        if series != sorted(series):
+            violations.append(f"{bench.upper()} {klass}: peer collection shrank with P")
+    return violations

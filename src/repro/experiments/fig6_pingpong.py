@@ -7,8 +7,7 @@ the three causal protocols with and without Event Logger.
 
 from __future__ import annotations
 
-from typing import Optional
-
+from repro.experiments.common import Cells
 from repro.metrics.reporting import format_series, format_table
 from repro.runtime.config import FIGURE_STACKS
 from repro.workloads.netpipe import (
@@ -34,7 +33,7 @@ PAPER_LATENCY_US = {
 FAST_SIZES = (1, 64, 1 << 10, 8 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20)
 
 
-def run(fast: bool = True) -> dict:
+def run(fast: bool, cell: Cells) -> dict:
     reps = 120 if fast else 400
     latency_us = {}
     with_pb = {}
@@ -58,7 +57,7 @@ def run(fast: bool = True) -> dict:
     }
 
 
-def format_report(results: dict) -> str:
+def table(results: dict) -> str:
     rows = []
     for stack, model in results["latency_us"].items():
         paper = PAPER_LATENCY_US.get(stack)
@@ -89,11 +88,24 @@ def format_report(results: dict) -> str:
     return table_a + "\n\n" + table_b
 
 
-def main(fast: bool = True) -> dict:
-    results = run(fast=fast)
-    print(format_report(results))
-    return results
-
-
-if __name__ == "__main__":
-    main()
+def shapes(results: dict) -> list[str]:
+    """Latency within 10 % of the paper and ordered by stack; bandwidth
+    ordering at the largest size."""
+    lat = results["latency_us"]
+    violations = [
+        f"{stack}: latency {lat[stack]:.2f} µs not within 10% of the paper's {paper}"
+        for stack, paper in PAPER_LATENCY_US.items()
+        if not abs(lat[stack] - paper) <= 0.10 * paper
+    ]
+    if not lat["p4"] < lat["vdummy"] < lat["vcausal"]:
+        violations.append("latency not ordered p4 < vdummy < vcausal")
+    for proto in ("vcausal", "manetho", "logon"):
+        if not lat[f"{proto}-noel"] > lat[proto]:
+            violations.append(f"the EL did not lower {proto} latency")
+    bw = results["bandwidth_mbit"]
+    top = max(results["sizes"])
+    if not bw["raw-tcp"][top] > bw["p4"][top]:
+        violations.append("p4 bandwidth reached raw TCP")
+    if not bw["vdummy"][top] > bw["vcausal"][top]:
+        violations.append("vcausal bandwidth reached vdummy")
+    return violations

@@ -7,7 +7,7 @@ a percentage of the application payload bytes exchanged.
 
 from __future__ import annotations
 
-from repro.experiments.common import run_nas
+from repro.experiments.common import Cells
 from repro.metrics.reporting import format_table
 
 #: paper Fig. 7 values (percent of total exchanged data)
@@ -41,20 +41,18 @@ STACKS = ("vcausal", "manetho", "logon", "vcausal-noel", "manetho-noel", "logon-
 PROC_COUNTS = {"bt": (4, 9, 16), "cg": (2, 4, 8, 16), "lu": (2, 4, 8, 16)}
 
 
-def run(fast: bool = True) -> dict:
+def run(fast: bool, cell: Cells) -> dict:
     out: dict[tuple[str, int], dict[str, float]] = {}
     for bench, counts in PROC_COUNTS.items():
         for nprocs in counts:
-            cell = {}
-            for stack in STACKS:
-                result, _info = run_nas(bench, "A", nprocs, stack, fast=fast)
-                cell[stack] = result.probes.piggyback_fraction
-            out[(bench, nprocs)] = cell
+            out[(bench, nprocs)] = {
+                stack: cell(bench, "A", nprocs, stack, fast).probes.piggyback_fraction
+                for stack in STACKS
+            }
     return {"pb_percent": out}
 
 
-def format_report(results: dict) -> str:
-    headers = ["bench", "P"] + [f"{s}" for s in STACKS]
+def table(results: dict) -> str:
     rows = []
     for (bench, nprocs), cell in results["pb_percent"].items():
         paper = PAPER_PB_PERCENT.get((bench, nprocs), {})
@@ -63,7 +61,7 @@ def format_report(results: dict) -> str:
             + [f"{cell[s]:.3f} ({paper.get(s, float('nan')):.3f})" for s in STACKS]
         )
     return format_table(
-        headers,
+        ["bench", "P"] + list(STACKS),
         rows,
         title=(
             "Fig. 7 — piggybacked data in % of total exchanged data, "
@@ -72,11 +70,15 @@ def format_report(results: dict) -> str:
     )
 
 
-def main(fast: bool = True) -> dict:
-    results = run(fast=fast)
-    print(format_report(results))
-    return results
-
-
-if __name__ == "__main__":
-    main()
+def shapes(results: dict) -> list[str]:
+    """The EL collapses the volume on every cell; LU/16 keeps a residue."""
+    pb = results["pb_percent"]
+    violations = [
+        f"{key}: the EL did not cut {proto}'s piggyback volume"
+        for key, cell in pb.items()
+        for proto in ("vcausal", "manetho", "logon")
+        if not cell[proto] < cell[f"{proto}-noel"]
+    ]
+    if not pb[("lu", 16)]["vcausal"] > pb[("bt", 16)]["vcausal"]:
+        violations.append("LU/16 with the EL left no more residue than BT/16")
+    return violations

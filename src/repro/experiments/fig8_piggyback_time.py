@@ -9,8 +9,10 @@ receiving (plain), for BT, CG, LU and FT class A;
 
 from __future__ import annotations
 
-from repro.experiments.common import pb_percent_of_exec, run_nas
+from repro.experiments.common import Cells
+from repro.experiments.fig7_piggyback_size import PROC_COUNTS as FIG7_COUNTS, STACKS
 from repro.metrics.reporting import format_table
+from repro.runtime.cluster import RunResult
 
 #: paper Fig. 8(b): causality computation cost in % of execution time
 PAPER_PCT = {
@@ -46,32 +48,38 @@ PAPER_PCT = {
                  "vcausal-noel": 2.2, "manetho-noel": 5.2, "logon-noel": 1.8},
 }
 
-STACKS = ("vcausal", "manetho", "logon", "vcausal-noel", "manetho-noel", "logon-noel")
+#: Fig. 7's grid plus FT
+PROC_COUNTS = {**FIG7_COUNTS, "ft": (2, 4, 8, 16)}
 
-PROC_COUNTS = {"bt": (4, 9, 16), "cg": (2, 4, 8, 16), "lu": (2, 4, 8, 16), "ft": (2, 4, 8, 16)}
+
+def pb_percent_of_exec(result: RunResult) -> float:
+    """Piggyback management time in percent of execution time (per process,
+    the Fig. 8(b) metric)."""
+    if result.sim_time <= 0:
+        return 0.0
+    per_proc = result.probes.pb_total_time_s / result.nprocs
+    return 100.0 * per_proc / result.sim_time
 
 
-def run(fast: bool = True) -> dict:
+def run(fast: bool, cell: Cells) -> dict:
     times: dict[tuple[str, int], dict[str, tuple[float, float]]] = {}
     pct: dict[tuple[str, int], dict[str, float]] = {}
     for bench, counts in PROC_COUNTS.items():
         for nprocs in counts:
-            t_cell = {}
-            p_cell = {}
+            t_cell = times[(bench, nprocs)] = {}
+            p_cell = pct[(bench, nprocs)] = {}
             for stack in STACKS:
-                result, _info = run_nas(bench, "A", nprocs, stack, fast=fast)
+                result = cell(bench, "A", nprocs, stack, fast)
                 probes = result.probes
                 t_cell[stack] = (
                     probes.pb_send_time_s / nprocs,
                     probes.pb_recv_time_s / nprocs,
                 )
                 p_cell[stack] = pb_percent_of_exec(result)
-            times[(bench, nprocs)] = t_cell
-            pct[(bench, nprocs)] = p_cell
     return {"times_s": times, "pct": pct}
 
 
-def format_report(results: dict) -> str:
+def table(results: dict) -> str:
     rows_a = []
     for (bench, nprocs), cell in results["times_s"].items():
         for stack in STACKS:
@@ -99,11 +107,19 @@ def format_report(results: dict) -> str:
     return table_a + "\n\n" + table_b
 
 
-def main(fast: bool = True) -> dict:
-    results = run(fast=fast)
-    print(format_report(results))
-    return results
-
-
-if __name__ == "__main__":
-    main()
+def shapes(results: dict) -> list[str]:
+    """The EL never raises the cost; Vcausal's scan is the cheapest
+    technique without it (LU and CG at 16 processes)."""
+    pct = results["pct"]
+    violations = [
+        f"{key}: the EL raised {proto}'s piggyback cost"
+        for key, cell in pct.items()
+        for proto in ("vcausal", "manetho", "logon")
+        if not cell[proto] <= cell[f"{proto}-noel"] + 1e-9
+    ]
+    for bench in ("lu", "cg"):
+        cell = pct[(bench, 16)]
+        for other in ("manetho-noel", "logon-noel"):
+            if not cell["vcausal-noel"] <= cell[other]:
+                violations.append(f"{bench}/16: vcausal-noel cost more than {other}")
+    return violations

@@ -16,7 +16,7 @@ Shapes to reproduce (paper §V-D.3):
 
 from __future__ import annotations
 
-from repro.experiments.common import run_nas
+from repro.experiments.common import Cells
 from repro.metrics.reporting import format_table
 from repro.runtime.config import FIGURE_STACKS
 
@@ -41,20 +41,19 @@ FAST_PANELS: dict[tuple[str, str], tuple[int, ...]] = {
 }
 
 
-def run(fast: bool = True) -> dict:
+def run(fast: bool, cell: Cells) -> dict:
     panels = FAST_PANELS if fast else PANELS
     mflops: dict[tuple[str, str, int], dict[str, float]] = {}
     for (bench, klass), counts in panels.items():
         for nprocs in counts:
-            cell = {}
-            for stack in FIGURE_STACKS:
-                result, _info = run_nas(bench, klass, nprocs, stack, fast=fast)
-                cell[stack] = result.mflops
-            mflops[(bench, klass, nprocs)] = cell
+            mflops[(bench, klass, nprocs)] = {
+                stack: cell(bench, klass, nprocs, stack, fast).mflops
+                for stack in FIGURE_STACKS
+            }
     return {"mflops": mflops}
 
 
-def format_report(results: dict) -> str:
+def table(results: dict) -> str:
     rows = []
     for (bench, klass, nprocs), cell in results["mflops"].items():
         rows.append(
@@ -68,8 +67,8 @@ def format_report(results: dict) -> str:
     )
 
 
-def shape_checks(results: dict) -> list[str]:
-    """Assertable shape properties; returns a list of violations."""
+def shapes(results: dict) -> list[str]:
+    """The EL improves every protocol; Vdummy is not slower than Vcausal."""
     violations = []
     for key, cell in results["mflops"].items():
         for proto in ("vcausal", "manetho", "logon"):
@@ -78,20 +77,3 @@ def shape_checks(results: dict) -> list[str]:
         if not cell["vdummy"] >= cell["vcausal"] * 0.98:
             violations.append(f"{key}: vcausal outperformed vdummy")
     return violations
-
-
-def main(fast: bool = True) -> dict:
-    results = run(fast=fast)
-    print(format_report(results))
-    bad = shape_checks(results)
-    if bad:
-        print("\nshape violations:")
-        for b in bad:
-            print("  -", b)
-    else:
-        print("\nall Fig. 9 shape checks passed")
-    return results
-
-
-if __name__ == "__main__":
-    main()

@@ -100,10 +100,6 @@ class ClusterProbes:
     el_bytes_received: int = 0
     el_peak_queue: int = 0
     el_busy_time_s: float = 0.0
-    #: worst-case shard-sync rounds before one shard's update reaches every
-    #: peer directly (0 = single EL, 1 = multicast/broadcast/tree,
-    #: ceil((shards-1)/fanout) = gossip); set by the EventLoggerGroup
-    el_sync_staleness_bound_rounds: int = 0
 
     # checkpoint server counters
     checkpoints_stored: int = 0

@@ -17,8 +17,6 @@ def _fmt(v: Any) -> str:
             return f"{v:,.0f}"
         if abs(v) >= 10:
             return f"{v:.1f}"
-        if abs(v) >= 0.01:
-            return f"{v:.3g}"
         return f"{v:.3g}"
     return str(v)
 

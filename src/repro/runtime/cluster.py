@@ -123,7 +123,6 @@ class Cluster:
                 sync_interval_s=self.config.el_sync_interval_s,
                 node_hosts=[self.host_of(r) for r in range(nprocs)],
                 tree_fanout=self.config.el_tree_fanout,
-                gossip_fanout=self.config.el_gossip_fanout,
             )
             if self.spec.event_logger
             else None

@@ -113,15 +113,11 @@ class ClusterConfig:
     #   "multicast" — all-to-all between shards, O(shards²) msgs/round;
     #   "broadcast" — multicast plus a push to every compute node;
     #   "tree"      — k-ary reduce-then-broadcast over the shards,
-    #                 2·(shards-1) msgs/round, fanout below;
-    #   "gossip"    — each shard pushes to el_gossip_fanout rotating
-    #                 peers/round, shards·fanout msgs/round, bounded
-    #                 staleness of ceil((shards-1)/fanout) rounds.
+    #                 2·(shards-1) msgs/round, fanout below.
     el_count: int = 1
     el_sync_strategy: str = "multicast"
     el_sync_interval_s: float = 2e-3
     el_tree_fanout: int = 2
-    el_gossip_fanout: int = 2
 
     # ---------------------------------------------------------------- #
     # Checkpointing and recovery.  The checkpoint service link is
@@ -177,8 +173,6 @@ class ClusterConfig:
             )
         if self.el_tree_fanout < 1:
             raise ValueError("el_tree_fanout must be >= 1")
-        if self.el_gossip_fanout < 1:
-            raise ValueError("el_gossip_fanout must be >= 1")
         if self.fault_detection_delay_s < 0:
             raise ValueError(
                 f"fault_detection_delay_s must be >= 0, got {self.fault_detection_delay_s!r}"

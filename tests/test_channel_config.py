@@ -103,7 +103,7 @@ def test_no_implementation_selecting_knob_is_left():
     config that still names one must fail loudly, not be ignored."""
     import dataclasses
 
-    assert len(dataclasses.fields(ClusterConfig)) == 54
+    assert len(dataclasses.fields(ClusterConfig)) == 53
     for knob in ("engine_coalesce", "pb_build_worklist", "delivery_fastpath",
                  "partition_ranks"):
         with pytest.raises(TypeError):

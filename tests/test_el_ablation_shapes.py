@@ -1,4 +1,6 @@
-"""Shape tests for the two ablations (distributed EL, checkpoint policies)."""
+"""Shape tests for the distributed-EL ablation on its extreme cells, and
+its sync costs outside the grid (the full grid's claims are
+``ablation_distributed_el.shapes``)."""
 
 import pytest
 

@@ -7,7 +7,7 @@ Two families:
   fixed point the all-to-all multicast reaches: the elementwise max over
   all shards' authoritative clocks;
 * **regression** — the ``"multicast"``/``"broadcast"`` strategies predate
-  the tree/gossip topologies and are the recorded-benchmark compatibility
+  the tree topology and are the recorded-benchmark compatibility
   mode: their message counts, sync bytes and simulation results must stay
   bit-identical (reference values captured on the pre-topology code).
 """
@@ -34,7 +34,7 @@ def dcfg(count, strategy="multicast", interval=2e-3, **kw):
     )
 
 
-def make_group(count, strategy, nprocs=32, seed=7, rounds=None, **group_kw):
+def make_group(count, strategy, nprocs=32, seed=7, rounds=2, **group_kw):
     """A standalone shard group, quiesced, with pseudo-random seeded
     per-shard authoritative clocks; runs ``rounds`` sync rounds."""
     sim = Simulator()
@@ -50,8 +50,6 @@ def make_group(count, strategy, nprocs=32, seed=7, rounds=None, **group_kw):
     rng = random.Random(seed)
     for rank in range(nprocs):
         group.shard_for(rank).stable_clock[rank] = rng.randrange(1, 1000)
-    if rounds is None:
-        rounds = group.staleness_bound_rounds + 1
     deadline = group.sync_interval_s * (rounds + 0.5)
     group.active_check = lambda: sim.now < deadline
     sim.run()
@@ -72,15 +70,11 @@ def fixed_point(group):
         (8, "tree", {"tree_fanout": 2}),
         (8, "tree", {"tree_fanout": 3}),
         (16, "tree", {"tree_fanout": 4}),
-        (2, "gossip", {"gossip_fanout": 1}),
-        (8, "gossip", {"gossip_fanout": 1}),
-        (8, "gossip", {"gossip_fanout": 2}),
-        (16, "gossip", {"gossip_fanout": 3}),
     ],
 )
 def test_topologies_converge_to_multicast_fixed_point(count, strategy, kw):
     """Property: on a quiesced system every shard's merged view reaches
-    the multicast fixed point within the staleness bound."""
+    the multicast fixed point."""
     group = make_group(count, strategy, **kw)
     reference = make_group(count, "multicast", rounds=1)
     want = fixed_point(group)
@@ -101,33 +95,11 @@ def test_tree_converges_in_one_round(count, fanout):
     assert group.sync_messages == group.sync_rounds * 2 * (count - 1)
 
 
-@pytest.mark.parametrize("count,fanout", [(4, 1), (8, 2), (16, 3)])
-def test_gossip_message_budget_and_staleness_bound(count, fanout):
-    group = make_group(count, "gossip", gossip_fanout=fanout)
-    assert group.sync_messages == group.sync_rounds * count * fanout
-    bound = -(-(count - 1) // fanout)
-    assert group.staleness_bound_rounds == bound
-
-
-def test_staleness_bound_surfaced_in_probes():
-    result = run_ring(
-        "vcausal", nprocs=4, iterations=5,
-        config=dcfg(4, "gossip", el_gossip_fanout=1),
-    )
-    assert result.probes.el_sync_staleness_bound_rounds == 3
-    result = run_ring("vcausal", nprocs=4, iterations=5, config=dcfg(4, "tree"))
-    assert result.probes.el_sync_staleness_bound_rounds == 1
-    result = run_ring("vcausal", nprocs=4, iterations=5)
-    assert result.probes.el_sync_staleness_bound_rounds == 0  # single EL
-
-
 @pytest.mark.parametrize(
     "strategy,kw",
     [
         ("tree", {"el_tree_fanout": 2}),
         ("tree", {"el_tree_fanout": 3}),
-        ("gossip", {"el_gossip_fanout": 1}),
-        ("gossip", {"el_gossip_fanout": 2}),
     ],
 )
 def test_topologies_end_to_end_results_match_reference(strategy, kw):
@@ -161,11 +133,7 @@ def test_invalid_fanouts_rejected():
     with pytest.raises(ValueError):
         make_group(4, "tree", tree_fanout=0)
     with pytest.raises(ValueError):
-        make_group(4, "gossip", gossip_fanout=0)
-    with pytest.raises(ValueError):
         ClusterConfig().with_overrides(el_tree_fanout=0)
-    with pytest.raises(ValueError):
-        ClusterConfig().with_overrides(el_gossip_fanout=0)
 
 
 # --------------------------------------------------------------------- #

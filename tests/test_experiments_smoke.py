@@ -1,19 +1,21 @@
-"""Smoke tests for the experiment modules (tiny parameterizations).
+"""Smoke tests for the figure registry (tiny parameterizations).
 
-The full sweeps live in benchmarks/; here each module's machinery is
-exercised end-to-end with minimal work, and the headline shape of each
-figure is asserted.
+The fast-mode figures and their shape claims run in
+benchmarks/test_figures.py; here the registry's machinery is exercised
+with minimal work.
 """
 
 import pytest
 
 from repro.experiments import (
-    ablation_checkpoint_policies,
+    FIGURES,
     ablation_distributed_el,
     fig6_pingpong,
     fig10_recovery,
 )
-from repro.experiments.common import pb_percent_of_exec, run_nas
+from repro.experiments.common import FAST_ITERATIONS, Cells, Figure, run_nas
+from repro.experiments.fig8_piggyback_time import pb_percent_of_exec
+from repro.experiments.runner import main
 
 
 def test_run_nas_helper_round_trip():
@@ -23,11 +25,18 @@ def test_run_nas_helper_round_trip():
     assert pb_percent_of_exec(result) >= 0
 
 
-def test_run_nas_raises_on_unfinished():
-    # impossible to finish: run at until=0 is not reachable through the
-    # helper, so instead check the helper validates benchmark names
+def test_run_nas_rejects_unknown_benchmark():
     with pytest.raises(ValueError):
         run_nas("nosuch", "A", 4, "vcausal")
+
+
+def test_cells_simulate_each_cell_once_without_its_cluster():
+    cell = Cells()
+    first = cell("cg", "A", 2, "vcausal")
+    assert first.cluster is None
+    # fast mode resolves the iteration count before keying the cell
+    assert cell("cg", "A", 2, "vcausal", iterations=FAST_ITERATIONS["cg"]) is first
+    assert cell("cg", "A", 2, "vcausal-noel") is not first
 
 
 def test_fig6_report_formats():
@@ -37,7 +46,7 @@ def test_fig6_report_formats():
         "bandwidth_mbit": {"p4": {1: 0.1, 1024: 30.0}},
         "sizes": (1, 1024),
     }
-    report = fig6_pingpong.format_report(results)
+    report = fig6_pingpong.table(results)
     assert "99.50" in report
     assert "Fig. 6(a)" in report and "Fig. 6(b)" in report
 
@@ -63,32 +72,22 @@ def test_ablation_el_single_cell():
     assert result.cluster.event_logger.count == 2
 
 
-def test_ablation_ckpt_policies_report():
-    results = ablation_checkpoint_policies.run(fast=True)
-    report = ablation_checkpoint_policies.format_report(results)
-    assert "round-robin" in report
-    cells = results["cells"]
-    # any checkpointing policy GCs the sender logs vs no checkpoints
-    assert (
-        cells["round-robin"]["peak_sender_log_bytes"]
-        < cells["none"]["peak_sender_log_bytes"]
-    )
-    # coordinated waves GC best (all receivers checkpoint together)
-    assert (
-        cells["coordinated"]["peak_sender_log_bytes"]
-        <= cells["round-robin"]["peak_sender_log_bytes"]
-    )
-
-
 def test_runner_cli_lists_experiments():
-    from repro.experiments import ALL_EXPERIMENTS
-
-    assert {"fig1", "fig6", "fig7", "fig8", "fig9", "fig10"} <= set(ALL_EXPERIMENTS)
-    assert "ablation-el" in ALL_EXPERIMENTS
+    assert {"fig1", "fig6", "fig7", "fig8", "fig9", "fig10"} <= set(FIGURES)
+    assert {"ablation-el", "ablation-ckpt"} <= set(FIGURES)
 
 
 def test_runner_cli_rejects_unknown_experiment():
-    from repro.experiments.runner import main
-
     with pytest.raises(SystemExit):
         main(["-e", "nosuch"])
+
+
+def test_runner_exits_1_on_a_shape_violation(monkeypatch, capsys):
+    broken = Figure(
+        "broken", "a figure whose shape never holds",
+        run=lambda fast, cell: {}, table=lambda results: "(table)",
+        shapes=lambda results: ["the claim failed"],
+    )
+    monkeypatch.setitem(FIGURES, "broken", broken)
+    assert main(["-e", "broken"]) == 1
+    assert "  - the claim failed" in capsys.readouterr().out
