@@ -200,12 +200,7 @@ class AntecedenceGraph:
     # ------------------------------------------------------------------ #
     # knowledge traversal
 
-    def raise_knowledge(
-        self,
-        start: tuple[int, int],
-        known: BoundVector,
-        stable: StableVector,
-    ) -> int:
+    def raise_knowledge(self, start: tuple[int, int], known: BoundVector) -> int:
         """Raise per-creator ``known`` bounds to cover the causal past of
         ``start``; returns the number of graph steps visited (the cost).
 

@@ -10,27 +10,27 @@ receive the most up to date array of logical clocks already logged."
 
 This module implements exactly that design space:
 
-* ``count`` Event Logger shards; node ``r`` logs to shard ``r % count``
+* ``count`` Event Loggers (shards); node ``r`` logs to shard ``r % count``
   (a static subset assignment);
 * every shard is authoritative for the stable clocks of its assigned
   creators and keeps a (possibly stale) *global view* of the others;
 * acknowledgments carry the shard's merged global view, so nodes can prune
   events of **all** creators, not just their shard's;
-* three shard-to-shard synchronization strategies:
+* every sync message is a snapshot of the sender's merged view, exchanged
+  along one of three strategies:
 
-  - ``"multicast"`` — each shard periodically multicasts its local slice
-    of logical clocks to the other shards (nodes see fresher vectors on
-    their next ack).  O(shards²) messages per round: the all-to-all
-    exchange the paper sketches, and the scalability wall ROADMAP flags
-    for ``el_count > 8``;
+  - ``"multicast"`` — each shard periodically multicasts its view to the
+    other shards (nodes see fresher vectors on their next ack).
+    O(shards²) messages per round: the all-to-all exchange the paper
+    sketches;
   - ``"broadcast"`` — shards additionally broadcast the merged vector to
     every compute node directly (fresher pruning, more traffic);
-  - ``"tree"`` — k-ary reduce-then-broadcast over the shards (the
-    MPICH-style collective pattern): views flow leaf→root along a
-    ``tree_fanout``-ary tree rooted at shard 0, the root's merged global
-    view flows back root→leaf.  2·(shards−1) messages per round over
-    O(log_k shards) network hops — the standard scalable-stabilization
-    fix (cf. Manetho's antecedence propagation, PAPERS.md).
+  - ``"tree"`` — binary reduce-then-broadcast over the shards (the
+    MPICH-style collective pattern): views flow leaf→root along a binary
+    tree rooted at shard 0, the root's merged global view flows back
+    root→leaf.  2·(shards−1) messages per round over O(log₂ shards)
+    network hops.  While a shard is dead the tree is broken, and each
+    round falls back to the multicast all-to-all among the survivors.
 
 All three converge every shard's merged view to the same fixed point on a
 quiesced system (tested); they differ in message count.
@@ -52,7 +52,7 @@ With ``count=1`` this degenerates to the single EL of the paper's body.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core.bounds import BoundVector
 from repro.core.event_logger import EventLogger
@@ -62,102 +62,11 @@ from repro.runtime.config import ClusterConfig
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Network
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.cluster import Cluster
-
 SYNC_STRATEGIES = ("multicast", "broadcast", "tree")
 
 
 def shard_host(index: int) -> str:
     return f"el{index}"
-
-
-class EventLoggerShard(EventLogger):
-    """One shard: a full EL plus a merged global view of its peers."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        config: ClusterConfig,
-        probes: ClusterProbes,
-        nprocs: int,
-        index: int,
-    ) -> None:
-        super().__init__(sim, network, config, probes, nprocs)
-        self.index = index
-        self.host = shard_host(index)
-        #: freshest clocks known for creators owned by *other* shards
-        self.global_view = BoundVector()
-        # the merged view (local stable ∪ peer view) is maintained
-        # incrementally on every store/absorb instead of being recomputed
-        # — a full copy + elementwise max — on every single ack
-        self._merged = BoundVector()
-        #: log of merged-view raises, the delta stream behind
-        #: :meth:`absorb_peer_delta`; positions are absolute — the group
-        #: periodically drops prefixes every peer has applied
-        #: (:meth:`EventLoggerGroup._truncate_sync_logs`) and ``None``
-        #: disables logging entirely for topologies that ship full
-        #: vectors (tree) or never sync (a single shard)
-        self._merged_log: Optional[list[tuple[int, int]]] = []
-        #: absolute position of ``_merged_log[0]``
-        self._log_base = 0
-        #: sender shard index -> absolute position already applied
-        self._sync_pos: dict[int, int] = {}
-
-    def merged_view(self) -> BoundVector:
-        """Authoritative local clocks merged with the peer view."""
-        return self._merged.copy()
-
-    def absorb_peer_vector(self, vector: BoundVector) -> None:
-        """Merge a peer shard's vector (sparse or dense form)."""
-        gv = self.global_view.data
-        merged = self._merged.data
-        log = self._merged_log
-        for creator, clock in (
-            vector.items() if hasattr(vector, "items") else enumerate(vector)
-        ):
-            if clock > gv.get(creator, 0):
-                gv[creator] = clock
-                if clock > merged.get(creator, 0):
-                    merged[creator] = clock
-                    if log is not None:
-                        log.append((creator, clock))
-
-    def absorb_peer_delta(self, sender: "EventLoggerShard", upto: int) -> None:
-        """Apply the suffix of ``sender``'s merged-raise log we have not
-        seen yet — equivalent to absorbing the full vector the sender's
-        merged view held at log position ``upto`` (sync channels are FIFO,
-        so positions only grow), at O(changes) instead of O(entries)."""
-        pos = self._sync_pos.get(sender.index, 0)
-        if upto <= pos:
-            return
-        self._sync_pos[sender.index] = upto
-        log = sender._merged_log
-        base = sender._log_base
-        gv = self.global_view.data
-        merged = self._merged.data
-        mylog = self._merged_log
-        for i in range(pos - base, upto - base):
-            creator, clock = log[i]
-            if clock > gv.get(creator, 0):
-                gv[creator] = clock
-                if clock > merged.get(creator, 0):
-                    merged[creator] = clock
-                    mylog.append((creator, clock))
-
-    def _note_stable_advance(self, creator: int, clock: int) -> None:
-        merged = self._merged.data
-        if clock > merged.get(creator, 0):
-            merged[creator] = clock
-            log = self._merged_log
-            if log is not None:
-                log.append((creator, clock))
-
-    # override: acks carry the merged global view (service scheduling and
-    # the reply host are inherited — the base logger serves from self.host)
-    def _ack_vector(self) -> BoundVector:
-        return self._merged.copy()
 
 
 class EventLoggerGroup:
@@ -174,14 +83,11 @@ class EventLoggerGroup:
         sync_strategy: str = "multicast",
         sync_interval_s: float = 2e-3,
         node_hosts: Optional[list[str]] = None,
-        tree_fanout: int = 2,
     ) -> None:
         if count < 1:
             raise ValueError("need at least one Event Logger shard")
         if sync_strategy not in SYNC_STRATEGIES:
             raise ValueError(f"unknown EL sync strategy {sync_strategy!r}")
-        if tree_fanout < 1:
-            raise ValueError("tree_fanout must be >= 1")
         self.sim = sim
         self.network = network
         self.config = config
@@ -190,10 +96,9 @@ class EventLoggerGroup:
         self.count = count
         self.sync_strategy = sync_strategy
         self.sync_interval_s = sync_interval_s
-        self.tree_fanout = tree_fanout
         self.node_hosts = node_hosts or []
         self.shards = [
-            EventLoggerShard(sim, network, config, probes, nprocs, k)
+            EventLogger(sim, network, config, probes, nprocs, k, shard_host(k))
             for k in range(count)
         ]
         #: key-range ownership: slot ``rank % count`` -> shard index.  The
@@ -205,17 +110,10 @@ class EventLoggerGroup:
         self.node_vector_sinks: dict[str, Callable[[list[int]], None]] = {}
         #: per-node re-log request sinks (daemon.on_el_relog_request)
         self.relog_sinks: dict[str, Callable[[int], None]] = {}
-        # merged-raise logs back the delta sync of the strategies whose
-        # shards ship their *own* view (multicast/broadcast); the
-        # tree forwards the root's view as full vectors and a single
-        # shard never syncs, so their logs are disabled outright
-        if count == 1 or sync_strategy == "tree":
-            for shard in self.shards:
-                shard._merged_log = None
         # journal-backed acks require the ack vector to advance only
-        # through _note_stable_advance; sharded groups also advance it by
-        # absorbing peer views and disk rebuilds, so their acks stay plain
-        # snapshots (receivers fall back to the full-vector fold)
+        # through the shard's own stable advances; sharded groups also
+        # advance it by absorbing peer views and disk rebuilds, so their
+        # acks stay plain snapshots (receivers fall back to the full fold)
         if count > 1:
             for shard in self.shards:
                 shard._ack_fast = False
@@ -236,8 +134,17 @@ class EventLoggerGroup:
     def shard_index_for(self, rank: int) -> int:
         return self.owner[rank % self.count]
 
-    def shard_for(self, rank: int) -> EventLoggerShard:
+    def shard_for(self, rank: int) -> EventLogger:
         return self.shards[self.shard_index_for(rank)]
+
+    def shard_at(self, index: int) -> EventLogger:
+        """Shard ``index``, rejecting an index outside ``[0, count)``
+        (a negative one would otherwise wrap around to a live shard)."""
+        if not 0 <= index < self.count:
+            raise ValueError(
+                f"EL shard index {index} out of range for {self.count} shards"
+            )
+        return self.shards[index]
 
     def host_for(self, rank: int) -> str:
         return shard_host(self.shard_index_for(rank))
@@ -260,7 +167,7 @@ class EventLoggerGroup:
         a surviving shard absorbs the dead shard's key range after the
         usual detection delay; without it the range simply goes dark
         (clients that retry keep retrying into the dead host)."""
-        shard = self.shards[index]
+        shard = self.shard_at(index)
         if not shard.alive:
             return
         shard.alive = False
@@ -318,7 +225,7 @@ class EventLoggerGroup:
 
     def _disk_loaded(
         self,
-        owner: EventLoggerShard,
+        owner: EventLogger,
         records: dict[int, list[Determinant]],
         creators: list[int],
     ) -> None:
@@ -349,97 +256,26 @@ class EventLoggerGroup:
     # ------------------------------------------------------------------ #
     # synchronization
 
-    def _vector_wire_bytes(self, shard: EventLoggerShard, vector: BoundVector) -> int:
+    def _vector_wire_bytes(self, shard: EventLogger, vector: BoundVector) -> int:
         return self.config.el_ack_wire_bytes + shard.ack_vector_bytes(vector)
 
     def _sync_tick(self) -> None:
         if not self.active_check():
             return
         self.sync_rounds += 1
-        if self.sync_strategy == "tree":
-            if any(not s.alive for s in self.shards):
-                # a dead shard breaks the reduce tree: fall back to a
-                # full-vector all-to-all among the survivors this round
-                self._degraded_round()
-            else:
-                self._tree_round()
+        if self.sync_strategy == "tree" and all(s.alive for s in self.shards):
+            self._tree_round()
         else:
-            self._multicast_round()
-        self._truncate_sync_logs()
+            # multicast/broadcast, and the tree while a dead shard breaks it
+            self._all_to_all_round()
         self.sim.schedule(self.sync_interval_s, self._sync_tick)
 
-    def _truncate_sync_logs(self, min_drop: int = 4096) -> None:
-        """Drop merged-log prefixes every peer has already applied.
-
-        Receiver positions (`_sync_pos`) are monotone and FIFO channels
-        deliver deltas in send order, so entries below the minimum applied
-        position of all peers can never be read again; dropping them keeps
-        each shard's log bounded by the sync backlog instead of the whole
-        run's raise count.
-        """
-        shards = self.shards
-        for shard in shards:
-            log = shard._merged_log
-            if log is None or not shard.alive:
-                continue
-            # dead peers never read again, so they do not hold the floor
-            floor = min(
-                (
-                    p._sync_pos.get(shard.index, 0)
-                    for p in shards
-                    if p is not shard and p.alive
-                ),
-                default=0,
-            )
-            drop = floor - shard._log_base
-            if drop >= min_drop:
-                del log[:drop]
-                shard._log_base = floor
-
-    def _multicast_round(self) -> None:
-        """All-to-all exchange (``"multicast"``/``"broadcast"``): the
-        original strategy, kept bit-identical — O(count²) messages."""
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            # wire size is that of the full merged snapshot, but peers
-            # absorb the sender's own view as a log delta (bit-identical:
-            # the log suffix reconstructs exactly this snapshot)
-            vec_bytes = self._vector_wire_bytes(shard, shard._merged)
-            upto = shard._log_base + len(shard._merged_log)  # absolute
-            for peer in self.shards:
-                if peer is shard or not peer.alive:
-                    continue
-                self.sync_messages += 1
-                self.sync_bytes += vec_bytes
-                self.network.transfer(
-                    shard.host,
-                    peer.host,
-                    vec_bytes,
-                    peer.absorb_peer_delta,
-                    args=(shard, upto),
-                )
-            if self.sync_strategy == "broadcast":
-                # and broadcast the full snapshot to every compute node
-                # directly (daemons consume plain stable vectors)
-                local = shard.merged_view()
-                for host, sink in self.node_vector_sinks.items():
-                    self.node_push_messages += 1
-                    self.sync_bytes += vec_bytes
-                    self.network.transfer(
-                        shard.host,
-                        host,
-                        vec_bytes,
-                        sink,
-                        args=(local,),
-                    )
-
-    def _degraded_round(self) -> None:
-        """Full-vector all-to-all among the alive shards — the fallback
-        sync round for topologies whose structure a dead shard breaks
-        (tree).  Costs more per round than the tree but keeps the
-        survivors converging while the membership is degraded."""
+    def _all_to_all_round(self) -> None:
+        """Every alive shard sends its merged-view snapshot to every other
+        alive shard — O(count²) messages — and, under ``"broadcast"``, to
+        every compute node too (daemons consume plain stable vectors)."""
         alive = [s for s in self.shards if s.alive]
+        broadcast = self.sync_strategy == "broadcast"
         for shard in alive:
             vector = shard.merged_view()
             vec_bytes = self._vector_wire_bytes(shard, vector)
@@ -455,15 +291,18 @@ class EventLoggerGroup:
                     peer.absorb_peer_vector,
                     args=(vector,),
                 )
+            if broadcast:
+                for host, sink in self.node_vector_sinks.items():
+                    self.node_push_messages += 1
+                    self.sync_bytes += vec_bytes
+                    self.network.transfer(
+                        shard.host, host, vec_bytes, sink, args=(vector,)
+                    )
 
-    # -- tree: k-ary reduce-then-broadcast over the shards --------------- #
+    # -- tree: binary reduce-then-broadcast over the shards -------------- #
 
     def _tree_children(self, index: int) -> range:
-        first = self.tree_fanout * index + 1
-        return range(first, min(first + self.tree_fanout, self.count))
-
-    def _tree_parent(self, index: int) -> int:
-        return (index - 1) // self.tree_fanout
+        return range(2 * index + 1, min(2 * index + 3, self.count))
 
     def _tree_round(self) -> None:
         """Reduce merged views leaf→root, broadcast the root's merged
@@ -480,12 +319,12 @@ class EventLoggerGroup:
             # root holds the fully reduced global view: broadcast it down
             self._tree_send_down(0, vector)
             return
-        parent = self.shards[self._tree_parent(index)]
+        parent = self.shards[(index - 1) // 2]
         vec_bytes = self._vector_wire_bytes(shard, vector)
         self.sync_messages += 1
         self.sync_bytes += vec_bytes
 
-        def _absorb_up(p: EventLoggerShard = parent, v: BoundVector = vector) -> None:  # v is a frozen snapshot
+        def _absorb_up(p: EventLogger = parent, v: BoundVector = vector) -> None:  # v is a frozen snapshot
             p.absorb_peer_vector(v)
             pending[p.index] -= 1
             if pending[p.index] == 0:
@@ -501,7 +340,7 @@ class EventLoggerGroup:
             self.sync_messages += 1
             self.sync_bytes += vec_bytes
 
-            def _absorb_down(c: EventLoggerShard = child, v: BoundVector = vector) -> None:  # v is a frozen snapshot
+            def _absorb_down(c: EventLogger = child, v: BoundVector = vector) -> None:  # v is a frozen snapshot
                 c.absorb_peer_vector(v)
                 self._tree_send_down(c.index, v)
 

@@ -16,6 +16,13 @@ blocking asynchronous communications" (paper §IV-B.4):
 During recovery the EL answers a single bulk query with every determinant
 of the crashed process — one request to one server instead of one to every
 peer, which is the whole Fig. 10 story.
+
+The same class is one shard of the §VI distributed EL
+(:mod:`repro.core.distributed_el`): a logger is authoritative for the
+stable clocks of the creators that log to it, keeps a ``global_view`` of
+the clocks its peers sent it, and acks with the merge of the two.  The
+single EL of the paper's body is shard 0 of a one-shard group, whose
+global view stays empty, so its acks carry exactly its stable clocks.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ class ElAck(BoundVector):
 
 
 class EventLogger:
-    """Single-threaded stable storage for determinants."""
+    """Single-threaded stable storage for determinants (one EL shard)."""
 
     def __init__(
         self,
@@ -71,14 +78,18 @@ class EventLogger:
         config: ClusterConfig,
         probes: ClusterProbes,
         nprocs: int,
+        index: int = 0,
+        host: str = EL_HOST,
     ) -> None:
         self.sim = sim
         self.network = network
         self.config = config
         self.probes = probes
         self.nprocs = nprocs
-        #: NIC this logger serves from (shards override with their own)
-        self.host = EL_HOST
+        #: position in the shard group (0 for a standalone logger)
+        self.index = index
+        #: NIC this logger serves from
+        self.host = host
         #: False after a crash: messages addressed to this logger are
         #: dropped on the floor (clients time out and retry elsewhere)
         self.alive = True
@@ -91,8 +102,15 @@ class EventLogger:
         #: creator -> clock-ordered stored determinants
         self.store: dict[int, list[Determinant]] = {r: [] for r in range(nprocs)}
         #: creator -> highest contiguous stored clock (sparse: only creators
-        #: that have logged something carry an entry)
+        #: that have logged something carry an entry) — authoritative for
+        #: the creators that log here
         self.stable_clock = BoundVector()
+        #: freshest clocks peer shards sent us (empty for a lone logger)
+        self.global_view = BoundVector()
+        #: stable clocks merged with the global view — what acks carry.
+        #: Raised in place on every stable advance and absorb rather than
+        #: recomputed (a full copy + elementwise max) on every ack.
+        self._merged = BoundVector()
         #: append-only journal of every (creator, clock) stable advance, in
         #: advance order.  Acks from a journal-valid logger ship as
         #: :class:`ElAck` carrying (journal, position): a receiver that has
@@ -103,10 +121,10 @@ class EventLogger:
         #: ``VcausalProtocol.on_el_ack``).  One tuple per stored
         #: determinant, i.e. no larger than ``store`` itself.
         self._ack_log: list[tuple[int, int]] = []
-        #: False when the ack vector can advance outside
-        #: :meth:`_note_stable_advance` (sharded groups: peer-view absorbs,
-        #: disk failover rebuilds) — the journal then no longer mirrors
-        #: the vector and acks fall back to plain snapshots.
+        #: False when the ack vector can advance other than by this
+        #: logger's own stable advances (sharded groups: peer-view
+        #: absorbs, disk failover rebuilds) — the journal then no longer
+        #: mirrors the vector and acks fall back to plain snapshots.
         self._ack_fast = True
         #: when the single-threaded select loop next falls idle
         self._busy_until = 0.0
@@ -164,10 +182,6 @@ class EventLogger:
         done = self._book(cfg.el_service_time_s * max(1, len(dets)))
         self.sim.post(done, self._serve_log, src_rank, dets, ack_to, ack_host)
 
-    def _ack_vector(self) -> BoundVector:
-        """Stable-vector snapshot an ack carries (shards merge peer views)."""
-        return self.stable_clock.copy()
-
     def _serve_log(
         self,
         src_rank: int,
@@ -181,8 +195,8 @@ class EventLogger:
         for det in dets:
             self._store(det)
         self.probes.el_determinants_stored += len(dets)
-        # ack with the full stable vector, after a small batching delay
-        vector = self._ack_vector()
+        # ack with the full merged vector, after a small batching delay
+        vector = self.merged_view()
         ack_bytes = self.config.el_ack_wire_bytes + self.ack_vector_bytes(vector)
         if self._ack_fast:
             # same snapshot + the journal handle; wire bytes are unchanged
@@ -208,15 +222,28 @@ class EventLogger:
             stable[det.creator] = det.clock
             if self._ack_fast:
                 self._ack_log.append((det.creator, det.clock))
-            self._note_stable_advance(det.creator, det.clock)
-        elif det.clock > stable.get(det.creator, 0) + 1:
-            # hole (lost in-flight log before a crash): keep, but stability
-            # stays at the contiguous prefix
-            pass
+            merged = self._merged.data
+            if det.clock > merged.get(det.creator, 0):
+                merged[det.creator] = det.clock
+        # else a hole (lost in-flight log before a crash): keep the record,
+        # but stability stays at the contiguous prefix
 
-    def _note_stable_advance(self, creator: int, clock: int) -> None:
-        """Hook: a creator's stable clock advanced (shards keep their
-        incrementally maintained merged view in sync here)."""
+    # ------------------------------------------------------------------ #
+    # shard-to-shard view exchange
+
+    def merged_view(self) -> BoundVector:
+        """Snapshot of the authoritative clocks merged with the peer view."""
+        return self._merged.copy()
+
+    def absorb_peer_vector(self, vector: BoundVector) -> None:
+        """Merge a peer shard's merged-view snapshot into our views."""
+        gv = self.global_view.data
+        merged = self._merged.data
+        for creator, clock in vector.items():
+            if clock > gv.get(creator, 0):
+                gv[creator] = clock
+                if clock > merged.get(creator, 0):
+                    merged[creator] = clock
 
     # ------------------------------------------------------------------ #
     # recovery path

@@ -2,10 +2,11 @@
 
 Both protocols keep an :class:`~repro.core.antecedence.AntecedenceGraph`,
 per-peer knowledge bounds and the peers' observed reception clocks, prune
-on every Event Logger ack, and checkpoint the same state.  They differ
-only in how a piggyback is built and accepted (paper §III-B.2), so
-``build_piggyback`` / ``accept_piggyback`` live in the subclasses and
-everything off the per-message path lives here.
+on every Event Logger ack, and checkpoint the same state.  They also
+discover a receiver's knowledge and merge a piggyback's creator runs the
+same way; they differ in how a piggyback is ordered and what each step
+costs (paper §III-B.2), so ``build_piggyback`` / ``accept_piggyback``
+live in the subclasses around the shared steps here.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Any
 from repro.core.antecedence import AntecedenceGraph
 from repro.core.bounds import BoundVector
 from repro.core.events import Determinant, StableState
+from repro.core.piggyback import Piggyback, creator_runs
 from repro.core.protocol_base import VProtocol
 from repro.metrics.probes import ProcessProbes
 from repro.runtime.config import ClusterConfig
@@ -47,6 +49,52 @@ class GraphProtocol(VProtocol):
         if k is None:
             k = self.known[peer] = BoundVector()
         return k
+
+    def _discover_knowledge(self, dst: int, known: BoundVector) -> int:
+        """Raise ``known`` over the causal past of ``dst``'s latest event
+        we hold; returns the graph steps visited.  That event may be known
+        through a third party (paper Fig. 3: P3 infers what P2 knows
+        without ever having communicated with it)."""
+        dst_seq = self.graph.seqs.get(dst)
+        start = max(
+            self.peer_clock_seen.get(dst, 0),
+            dst_seq.max_clock if dst_seq is not None else 0,
+        )
+        if start > known[dst]:
+            return self.graph.raise_knowledge((dst, start), known)
+        return 0
+
+    def _merge_runs(
+        self, src: int, pb: Piggyback, dep: int
+    ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """Merge ``pb`` into the graph run-at-a-time and raise what
+        ``src`` is known to hold; returns (new events, run table).
+
+        Within a run the creator's clocks ascend, and across runs of the
+        same creator later runs carry later clocks (chain order is causal
+        order), so per-run knowledge updates land on the same bounds a
+        per-determinant walk would.
+        """
+        known = self._known(src).data
+        kget = known.get
+        graph = self.graph
+        events = pb.events
+        new = 0
+        runs = pb.runs or creator_runs(events)
+        r0, d0 = graph.run_merges, graph.det_merges
+        for creator, i, j in runs:
+            new += graph.add_run(events[i:j])
+            last = events[j - 1].clock
+            if last > kget(creator, 0):
+                known[creator] = last
+        self.probes.pb_accept_runs += graph.run_merges - r0
+        self.probes.pb_accept_fallback_dets += graph.det_merges - d0
+        if dep > kget(src, 0):
+            known[src] = dep
+        # knowledge closure of (src, dep) is discovered lazily at next send
+        if dep > self.peer_clock_seen.get(src, 0):
+            self.peer_clock_seen[src] = dep
+        return new, runs
 
     def on_local_event(self, det: Determinant) -> None:
         self.graph.add(det)

@@ -47,14 +47,7 @@ class LogOnProtocol(GraphProtocol):
         # reverse exploration from our last reception until events of the
         # receiver are reached: equivalently, raise the knowledge bounds
         # from the receiver's latest event we hold, then ship the rest.
-        visits = 0
-        dst_seq = self.graph.seqs.get(dst)
-        start = max(
-            self.peer_clock_seen.get(dst, 0),
-            dst_seq.max_clock if dst_seq is not None else 0,
-        )
-        if start > known[dst]:
-            visits = self.graph.raise_knowledge((dst, start), known, self.stable)
+        visits = self._discover_knowledge(dst, known)
         # select_unknown raises known in place over everything selected;
         # the dirty-creator worklist restricts the scan to chains grown
         # since the last build for dst (clean chains contribute nothing)
@@ -93,31 +86,11 @@ class LogOnProtocol(GraphProtocol):
 
     def accept_piggyback(self, src: int, pb: Piggyback, dep: int) -> float:
         cfg = self.config
-        known = self._known(src).data
-        kget = known.get
-        graph = self.graph
-        events = pb.events
-        new = 0
         # the run table segments the linear extension into clock-ascending
         # chain runs; consume run-at-a-time (batch append, O(1) duplicate
         # skip) exactly like the factored formats, instead of one graph
-        # probe per determinant.  Within a run the creator's clocks ascend
-        # and across runs of the same creator later runs carry later
-        # clocks (chain order is causal order), so per-run knowledge
-        # updates land on the same bounds the per-determinant walk did.
-        runs = pb.runs or creator_runs(events)
-        r0, d0 = graph.run_merges, graph.det_merges
-        for creator, i, j in runs:
-            new += graph.add_run(events[i:j])
-            last = events[j - 1].clock
-            if last > kget(creator, 0):
-                known[creator] = last
-        self.probes.pb_accept_runs += graph.run_merges - r0
-        self.probes.pb_accept_fallback_dets += graph.det_merges - d0
-        if dep > kget(src, 0):
-            known[src] = dep
-        if dep > self.peer_clock_seen.get(src, 0):
-            self.peer_clock_seen[src] = dep
+        # probe per determinant
+        new, runs = self._merge_runs(src, pb, dep)
         # sparse mode: the touched knowledge entries are the distinct
         # creators plus src's own (the set is only materialized when the
         # sparse model will charge for it)

@@ -20,11 +20,7 @@ from __future__ import annotations
 from math import log2
 
 from repro.core.graph_protocol import GraphProtocol
-from repro.core.piggyback import (
-    Piggyback,
-    creator_runs,
-    factored_bytes_from_counts,
-)
+from repro.core.piggyback import Piggyback, factored_bytes_from_counts
 
 
 class ManethoProtocol(GraphProtocol):
@@ -37,19 +33,9 @@ class ManethoProtocol(GraphProtocol):
     def build_piggyback(self, dst: int) -> Piggyback:
         known = self._known(dst)
         cfg = self.config
-        visits = 0
         # Manetho pays the knowledge discovery on the send path: cross the
-        # graph from the last known reception of the receiver.  The
-        # receiver's latest event may be known through a third party
-        # (paper Fig. 3: P3 infers what P2 knows without ever having
-        # communicated with it).
-        dst_seq = self.graph.seqs.get(dst)
-        start = max(
-            self.peer_clock_seen.get(dst, 0),
-            dst_seq.max_clock if dst_seq is not None else 0,
-        )
-        if start > known[dst]:
-            visits += self.graph.raise_knowledge((dst, start), known, self.stable)
+        # graph from the last known reception of the receiver
+        visits = self._discover_knowledge(dst, known)
         # select_unknown raises known in place: everything piggybacked is
         # now known by dst.  The dirty-creator worklist restricts the scan
         # to chains grown since the last build for dst; clean chains are
@@ -79,32 +65,12 @@ class ManethoProtocol(GraphProtocol):
 
     def accept_piggyback(self, src: int, pb: Piggyback, dep: int) -> float:
         cfg = self.config
-        known = self._known(src).data
-        kget = known.get
-        graph = self.graph
-        events = pb.events
-        total = len(events)
-        new = 0
-        runs = pb.runs or creator_runs(events)
         # the factored wire format groups events into clock-ascending
         # creator runs; merge run-at-a-time (see AntecedenceGraph.add_run)
-        r0, d0 = graph.run_merges, graph.det_merges
-        for creator, i, j in runs:
-            new += graph.add_run(events[i:j])
-            last = events[j - 1].clock
-            if last > kget(creator, 0):
-                known[creator] = last
-        self.probes.pb_accept_runs += graph.run_merges - r0
-        self.probes.pb_accept_fallback_dets += graph.det_merges - d0
-        dup = total - new
-        if dep > kget(src, 0):
-            known[src] = dep
-        # knowledge closure of (src, dep) is discovered lazily at next send
-        if dep > self.peer_clock_seen.get(src, 0):
-            self.peer_clock_seen[src] = dep
+        new, runs = self._merge_runs(src, pb, dep)
         # Manetho must re-cross the merged region to generate the new edges
-        # (second pass over every piggybacked event)
-        relink = new + dup
+        # (second pass over every piggybacked event, new or duplicate)
+        relink = len(pb.events)
         # sparse mode: one knowledge entry touched per run plus src's own
         cost = (
             self._pb_recv_scan_cost(len(runs) + 1)

@@ -122,7 +122,6 @@ class Cluster:
                 sync_strategy=self.config.el_sync_strategy,
                 sync_interval_s=self.config.el_sync_interval_s,
                 node_hosts=[self.host_of(r) for r in range(nprocs)],
-                tree_fanout=self.config.el_tree_fanout,
             )
             if self.spec.event_logger
             else None
@@ -277,8 +276,9 @@ class Cluster:
 
     def kill_el_shard(self, index: int) -> None:
         """Crash one Event Logger shard (failover is the group's job)."""
-        if self.event_logger is not None:
-            self.event_logger.kill_shard(index)
+        if self.event_logger is None:
+            raise ValueError("no Event Logger to kill on this stack")
+        self.event_logger.kill_shard(index)
 
     # ------------------------------------------------------------------ #
     # retry layer

@@ -112,12 +112,11 @@ class ClusterConfig:
     # Strategies (see repro.core.distributed_el):
     #   "multicast" — all-to-all between shards, O(shards²) msgs/round;
     #   "broadcast" — multicast plus a push to every compute node;
-    #   "tree"      — k-ary reduce-then-broadcast over the shards,
-    #                 2·(shards-1) msgs/round, fanout below.
+    #   "tree"      — binary reduce-then-broadcast over the shards,
+    #                 2·(shards-1) msgs/round.
     el_count: int = 1
     el_sync_strategy: str = "multicast"
     el_sync_interval_s: float = 2e-3
-    el_tree_fanout: int = 2
 
     # ---------------------------------------------------------------- #
     # Checkpointing and recovery.  The checkpoint service link is
@@ -171,8 +170,13 @@ class ClusterConfig:
             raise ValueError(
                 f"pb_cost_model must be 'dense' or 'sparse', got {self.pb_cost_model!r}"
             )
-        if self.el_tree_fanout < 1:
-            raise ValueError("el_tree_fanout must be >= 1")
+        if self.el_count < 1:
+            raise ValueError(f"el_count must be >= 1, got {self.el_count!r}")
+        if self.el_sync_interval_s <= 0:
+            # a zero period re-posts the sync tick at the same instant forever
+            raise ValueError(
+                f"el_sync_interval_s must be > 0, got {self.el_sync_interval_s!r}"
+            )
         if self.fault_detection_delay_s < 0:
             raise ValueError(
                 f"fault_detection_delay_s must be >= 0, got {self.fault_detection_delay_s!r}"

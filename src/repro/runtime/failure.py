@@ -335,6 +335,11 @@ class InfraFaults(FaultPlan):
     ckpt_outages: list[tuple[float, Optional[float]]] = field(default_factory=list)
 
     def install(self, sim: Simulator, cluster: "Cluster") -> None:
+        # reject an impossible kill now, not mid-run when it fires
+        for _, index in self.el_shard_kills:
+            if cluster.event_logger is None:
+                raise ValueError("EL shard kills need a stack with an Event Logger")
+            cluster.event_logger.shard_at(index)
         for time_s, index in self.el_shard_kills:
             sim.at(time_s, cluster.kill_el_shard, index)
         for fail_s, restore_s in self.ckpt_outages:

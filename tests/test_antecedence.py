@@ -46,27 +46,25 @@ def test_lamport_stamps_respect_causality():
 def test_raise_knowledge_covers_causal_past():
     g = build_chain_world()
     known = BoundVector()
-    stable = StableVector(3)
     # knowing P0's event d implies knowing the whole chain
-    g.raise_knowledge((0, 2), known, stable)
+    g.raise_knowledge((0, 2), known)
     assert known.as_list(3) == [2, 1, 1]
 
 
 def test_raise_knowledge_partial():
     g = build_chain_world()
     known = BoundVector()
-    stable = StableVector(3)
-    g.raise_knowledge((1, 1), known, stable)
+    g.raise_knowledge((1, 1), known)
     assert known.as_list(3) == [1, 1, 0]  # covers a and b, not c or d
 
 
 def test_raise_knowledge_counts_visits():
     g = build_chain_world()
     known = BoundVector()
-    visits = g.raise_knowledge((0, 2), known, StableVector(3))
+    visits = g.raise_knowledge((0, 2), known)
     assert visits == 4
     # a second call discovers nothing new
-    assert g.raise_knowledge((0, 2), known, StableVector(3)) == 0
+    assert g.raise_knowledge((0, 2), known) == 0
 
 
 def test_select_unknown_respects_bounds():
@@ -107,7 +105,7 @@ def test_prune_makes_knowledge_conservative_not_wrong():
     stable.advance(0, 1)
     g.prune(stable)
     known = BoundVector()
-    g.raise_knowledge((0, 2), known, stable)
+    g.raise_knowledge((0, 2), known)
     # the traversal can no longer reach a (pruned), but a is stable so it
     # is excluded from piggybacks anyway
     events, _, _ = g.select_unknown(known, stable)
@@ -130,8 +128,8 @@ def test_export_restore_roundtrip():
     assert len(g2) == len(g)
     assert g2.lamport == g.lamport
     known1, known2 = BoundVector(), BoundVector()
-    g.raise_knowledge((0, 2), known1, StableVector(3))
-    g2.raise_knowledge((0, 2), known2, StableVector(3))
+    g.raise_knowledge((0, 2), known1)
+    g2.raise_knowledge((0, 2), known2)
     assert known1 == known2
 
 

@@ -99,13 +99,14 @@ def test_is_causal_property():
 
 
 def test_no_implementation_selecting_knob_is_left():
-    """The removed knobs chose between bit-identical implementations; a
-    config that still names one must fail loudly, not be ignored."""
+    """The removed knobs chose between bit-identical implementations (or,
+    for ``el_tree_fanout``, a tree arity nothing used); a config that still
+    names one must fail loudly, not be ignored."""
     import dataclasses
 
-    assert len(dataclasses.fields(ClusterConfig)) == 53
+    assert len(dataclasses.fields(ClusterConfig)) == 52
     for knob in ("engine_coalesce", "pb_build_worklist", "delivery_fastpath",
-                 "partition_ranks"):
+                 "partition_ranks", "el_tree_fanout"):
         with pytest.raises(TypeError):
             ClusterConfig(**{knob: True})
         with pytest.raises(TypeError):

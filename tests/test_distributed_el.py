@@ -31,6 +31,29 @@ def test_invalid_shard_count_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"el_count": 2, "el_sync_interval_s": 0.0},  # sync tick livelocks
+        {"el_count": 2, "el_sync_interval_s": -1e-3},
+        {"el_count": 0},
+    ],
+)
+def test_config_rejects_invalid_el_knobs(overrides):
+    with pytest.raises(ValueError):
+        ClusterConfig(**overrides)
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_kill_shard_rejects_out_of_range_index(index):
+    result = run_ring("vcausal", nprocs=4, iterations=2, config=dcfg(2))
+    group = result.cluster.event_logger
+    with pytest.raises(ValueError):
+        group.kill_shard(index)
+    assert group.shard_kills == 0
+    assert all(s.alive for s in group.shards)
+
+
 def test_shard_assignment_is_static_modulo():
     result = run_ring("vcausal", nprocs=4, iterations=3, config=dcfg(2))
     group = result.cluster.event_logger

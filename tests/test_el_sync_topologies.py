@@ -19,7 +19,8 @@ import random
 import pytest
 
 from repro.metrics.probes import ClusterProbes
-from repro.core.distributed_el import EventLoggerGroup
+from repro.core.distributed_el import EventLoggerGroup, shard_host
+from repro.core.events import Determinant
 from repro.runtime.config import ClusterConfig
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Network
@@ -34,13 +35,12 @@ def dcfg(count, strategy="multicast", interval=2e-3, **kw):
     )
 
 
-def make_group(count, strategy, nprocs=32, seed=7, rounds=2, **group_kw):
+def make_group(count, strategy, nprocs=32, seed=7, rounds=2, kill=(), **group_kw):
     """A standalone shard group, quiesced, with pseudo-random seeded
-    per-shard authoritative clocks; runs ``rounds`` sync rounds."""
+    per-shard authoritative clocks; kills the shards in ``kill``, then
+    runs ``rounds`` sync rounds."""
     sim = Simulator()
     net = Network(sim)
-    from repro.core.distributed_el import shard_host
-
     for k in range(count):
         net.attach(shard_host(k))
     group = EventLoggerGroup(
@@ -49,7 +49,13 @@ def make_group(count, strategy, nprocs=32, seed=7, rounds=2, **group_kw):
     )
     rng = random.Random(seed)
     for rank in range(nprocs):
-        group.shard_for(rank).stable_clock[rank] = rng.randrange(1, 1000)
+        # stored through the logging path, so the merged views see them
+        clocks = range(1, rng.randrange(1, 40) + 1)
+        group.shard_for(rank).ingest_records(
+            {rank: [Determinant(rank, c, 0, 0, 0) for c in clocks]}
+        )
+    for k in kill:
+        group.kill_shard(k)
     deadline = group.sync_interval_s * (rounds + 0.5)
     group.active_check = lambda: sim.now < deadline
     sim.run()
@@ -65,29 +71,30 @@ def fixed_point(group):
 @pytest.mark.parametrize(
     "count,strategy,kw",
     [
-        (2, "tree", {"tree_fanout": 2}),
-        (4, "tree", {"tree_fanout": 1}),   # degenerate chain
-        (8, "tree", {"tree_fanout": 2}),
-        (8, "tree", {"tree_fanout": 3}),
-        (16, "tree", {"tree_fanout": 4}),
+        (2, "tree", {}),
+        (4, "tree", {"seed": 3}),
+        (8, "tree", {}),
+        (8, "tree", {"nprocs": 8}),   # one creator per shard
+        (16, "tree", {"rounds": 1}),
     ],
 )
 def test_topologies_converge_to_multicast_fixed_point(count, strategy, kw):
     """Property: on a quiesced system every shard's merged view reaches
     the multicast fixed point."""
     group = make_group(count, strategy, **kw)
-    reference = make_group(count, "multicast", rounds=1)
+    reference = make_group(count, "multicast", **{**kw, "rounds": 1})
     want = fixed_point(group)
     assert want == fixed_point(reference)  # same seeded state, same union
+    assert all(want)  # every creator logged something
     for shard in group.shards:
         assert shard.merged_view().as_list(group.nprocs) == want, shard.index
     for shard in reference.shards:
         assert shard.merged_view().as_list(group.nprocs) == want, shard.index
 
 
-@pytest.mark.parametrize("count,fanout", [(4, 2), (5, 2), (8, 3)])
-def test_tree_converges_in_one_round(count, fanout):
-    group = make_group(count, "tree", rounds=1, tree_fanout=fanout)
+@pytest.mark.parametrize("count,seed", [(4, 2), (5, 2), (8, 3)])
+def test_tree_converges_in_one_round(count, seed):
+    group = make_group(count, "tree", rounds=1, seed=seed)
     want = fixed_point(group)
     for shard in group.shards:
         assert shard.merged_view().as_list(group.nprocs) == want
@@ -95,11 +102,31 @@ def test_tree_converges_in_one_round(count, fanout):
     assert group.sync_messages == group.sync_rounds * 2 * (count - 1)
 
 
+def test_tree_with_a_dead_shard_syncs_all_to_all_among_survivors():
+    """A dead shard breaks the reduce tree: each round falls back to the
+    all-to-all among the 3 survivors, and their merged views converge on
+    the union of the survivors' authoritative clocks."""
+    group = make_group(4, "tree", kill=(1,))
+    assert not group.config.el_failover
+    assert group.sync_rounds == 2
+    assert group.sync_messages == group.sync_rounds * 3 * 2
+    survivors = [s for s in group.shards if s.alive]
+    union = [
+        max(s.stable_clock[c] for s in survivors) for c in range(group.nprocs)
+    ]
+    # the dead shard's creators (rank % 4 == 1) never reach the survivors
+    assert [c for c in range(group.nprocs) if not union[c]] == list(
+        range(1, group.nprocs, 4)
+    )
+    for shard in survivors:
+        assert shard.merged_view().as_list(group.nprocs) == union, shard.index
+
+
 @pytest.mark.parametrize(
     "strategy,kw",
     [
-        ("tree", {"el_tree_fanout": 2}),
-        ("tree", {"el_tree_fanout": 3}),
+        ("tree", {}),
+        ("tree", {"interval": 0.5e-3}),
     ],
 )
 def test_topologies_end_to_end_results_match_reference(strategy, kw):
@@ -127,13 +154,6 @@ def test_tree_uses_fewer_messages_than_multicast():
     assert per_round_mc == 8 * 7
     assert per_round_tree == 2 * 7
     assert per_round_tree < per_round_mc
-
-
-def test_invalid_fanouts_rejected():
-    with pytest.raises(ValueError):
-        make_group(4, "tree", tree_fanout=0)
-    with pytest.raises(ValueError):
-        ClusterConfig().with_overrides(el_tree_fanout=0)
 
 
 # --------------------------------------------------------------------- #

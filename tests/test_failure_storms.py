@@ -314,6 +314,27 @@ def test_el_failover_knob_is_bit_identical_when_fault_free():
     assert on.results == off.results
 
 
+@pytest.mark.parametrize(
+    "stack,config,index",
+    [
+        ("vcausal", ClusterConfig().with_overrides(**EL2), -1),  # would wrap to 1
+        ("vcausal", ClusterConfig().with_overrides(**EL2), 5),
+        ("vcausal-noel", ClusterConfig(), 0),  # no EL to kill
+    ],
+    ids=["negative", "past-end", "no-el"],
+)
+def test_infra_faults_reject_impossible_shard_kills(stack, config, index):
+    """An EL shard kill that cannot happen fails when the plan is
+    installed, before any event fires — not silently, and not mid-run."""
+    cluster = Cluster(
+        nprocs=4, app_factory=ring_app(iterations=5), stack=stack, config=config,
+        fault_plan=InfraFaults(el_shard_kills=[(0.001, index)]),
+    )
+    with pytest.raises(ValueError):
+        cluster.run()
+    assert cluster.sim.events_executed == 0
+
+
 def test_el_shard_crash_with_failover_preserves_results(baseline):
     cfg = ClusterConfig().with_overrides(
         **EL2, el_failover=True, rpc_timeout_s=5e-3
