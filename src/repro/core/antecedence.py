@@ -32,17 +32,22 @@ never wrong, because stable events are excluded from piggybacks anyway).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional
 
 from repro.core.bounds import BoundVector
-from repro.core.events import Determinant, EventSequence, GrowthLog, StableVector
+from repro.core.events import (
+    Determinant, DeterminantStore, EventSequence, GrowthLog, StableVector,
+)
+from repro.core.piggyback import Run
 
 
 class AntecedenceGraph:
     """Prunable DAG of determinants with knowledge-traversal support."""
 
-    def __init__(self, nprocs: int) -> None:
+    def __init__(self, nprocs: int, store: Optional[DeterminantStore] = None) -> None:
         self.nprocs = nprocs
+        #: every chain is a window over this store's backing lists
+        self.store = store if store is not None else DeterminantStore()
         self.seqs: dict[int, EventSequence] = {}
         #: (creator, clock) -> Lamport stamp
         self.lamport: dict[tuple[int, int], int] = {}
@@ -61,14 +66,8 @@ class AntecedenceGraph:
 
     # ------------------------------------------------------------------ #
 
-    def _seq(self, creator: int) -> EventSequence:
-        seq = self.seqs.get(creator)
-        if seq is None:
-            seq = self._new_seq(creator)
-        return seq
-
     def _new_seq(self, creator: int) -> EventSequence:
-        seq = self.seqs[creator] = EventSequence(creator)
+        seq = self.seqs[creator] = EventSequence(creator, self.store)
         self.growth.register(creator)
         return seq
 
@@ -124,43 +123,41 @@ class AntecedenceGraph:
         self.growth.mark_grown(creator)
         return True
 
-    def add_run(self, dets: Sequence[Determinant]) -> int:
-        """Insert one creator run (clock-ascending); returns vertices added.
+    def add_run(self, creator: int, first: int, last: int, backing: list) -> int:
+        """Insert one piggyback run — clocks ``first..last`` of ``creator``
+        read from ``backing`` — and return the vertices added.
 
-        Equivalent to calling :meth:`add` per determinant.  The factored
-        piggyback accept path — and, since the LogOn run table, the flat
-        one too — hands over whole creator runs, so the two frequent cases
-        — every event new, every event already present — skip the
-        per-event sequence probes.
+        Equivalent to calling :meth:`add` per determinant in clock order,
+        but the two frequent cases — every event new, every event already
+        present — skip the per-event sequence probes.
         """
-        first = dets[0]
-        creator = first.creator
         seq = self.seqs.get(creator)
         if seq is None:
             seq = self._new_seq(creator)
-        count = len(dets)
-        split = seq.new_run_offset(first.clock, dets[-1].clock, count)
+        count = last - first + 1
+        split = seq.new_run_offset(first, last, count)
         if split is None:
             # unclassifiable run (holes / partial overlap): per-determinant
             # fallback; add() marks growth itself
             self.det_merges += count
             added = 0
-            for det in dets:
-                if self.add(det):
+            for k in range(first, last + 1):
+                if self.add(backing[k - 1]):
                     added += 1
             return added
         self.run_merges += 1
         if split == count:
             return 0  # whole run already present
-        new = dets[split:] if split else dets
+        first += split
         # the run lands above every held clock: each event's nearest held
         # chain predecessor is the previous one (the first's is below it)
-        stamp = self._stamp_below(seq, new[0].clock)
-        n = seq.extend_monotonic(new)
+        stamp = self._stamp_below(seq, first)
+        n = seq.extend_monotonic(first, last, backing)
         lamport = self.lamport
-        for det in new:
+        for k in range(first, last + 1):
+            det = backing[k - 1]
             cross = lamport.get((det.sender, det.dep), 0) if det.dep > 0 else 0
-            stamp = lamport[(creator, det.clock)] = 1 + max(stamp, cross)
+            stamp = lamport[(creator, k)] = 1 + max(stamp, cross)
         self._size += n
         self.growth.mark_grown(creator)
         return n
@@ -237,11 +234,12 @@ class AntecedenceGraph:
         known: BoundVector,
         stable: StableVector,
         candidates: list[int] | None = None,
-    ) -> tuple[list[Determinant], int, list[tuple[int, int, int]]]:
+    ) -> tuple[list[Run], list[list], int, int]:
         """Events not covered by ``known`` or the stable vector.
 
-        Returns (events grouped by creator in clock order, scan cost,
-        creator runs as ``(creator, start, stop)`` index triples).
+        Returns (clock-range runs grouped by creator in clock order, their
+        backing lists, events covered — also the scan cost — and creator
+        groups).
         ``known`` is raised in place over everything selected — every
         selected creator tail runs to the end of its sequence, so the new
         bound is that sequence's max clock.
@@ -252,9 +250,9 @@ class AntecedenceGraph:
         the creators with unknown events selects exactly what the full
         scan would.
         """
-        events: list[Determinant] = []
-        visits = 0
-        runs: list[tuple[int, int, int]] = []
+        runs: list[Run] = []
+        backings: list[list] = []
+        n = groups = 0
         kdata = known.data
         kget = kdata.get
         sv = stable.view()
@@ -270,13 +268,10 @@ class AntecedenceGraph:
                 lo = s
             if seq.max_clock <= lo:
                 continue  # peer already covers this creator
-            start = len(events)
-            n = seq.extend_tail_into(events, lo)
-            if n:
-                visits += n
-                runs.append((creator, start, start + n))
-                kdata[creator] = seq.max_clock
-        return events, visits, runs
+            n += seq.extend_tail_runs(runs, backings, lo)
+            groups += 1
+            kdata[creator] = seq.max_clock
+        return runs, backings, n, groups
 
     def topological(self, events: list[Determinant]) -> list[Determinant]:
         """Order ``events`` by a linear extension of the causal order."""
@@ -303,7 +298,7 @@ class AntecedenceGraph:
         # already made stable (add()/merge() would otherwise resurrect them
         # and silently re-grow the graph)
         self.seqs = {
-            creator: EventSequence.from_state(creator, s)
+            creator: EventSequence.from_state(creator, s, self.store)
             for creator, s in state["seqs"].items()
         }
         self._size = self.scan_size()

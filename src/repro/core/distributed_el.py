@@ -43,7 +43,9 @@ group reassigns its key range to the next surviving shard
 delay): the dead shard's disk is streamed to the new owner, and the
 creators of the absorbed range re-log whatever the disk did not hold —
 which is exactly the set of determinants the dead shard had never acked,
-hence still held (unpruned) at their creators.  Clients re-resolve
+hence still held (unpruned) at their creators — or, when a creator is
+dead at that moment, at the peers it reached, from which its recovery
+then collects the suffix.  Clients re-resolve
 ``shard_for`` per attempt (see :mod:`repro.runtime.retry`), so retries
 land on the new owner.
 
@@ -110,6 +112,10 @@ class EventLoggerGroup:
         self.node_vector_sinks: dict[str, Callable[[list[int]], None]] = {}
         #: per-node re-log request sinks (daemon.on_el_relog_request)
         self.relog_sinks: dict[str, Callable[[int], None]] = {}
+        #: creators a re-log request found dead: the suffix the dead shard
+        #: never acked died with their volatile state too, so their
+        #: recovery also collects it from the peers that still hold it
+        self.relog_missed: set[int] = set()
         # journal-backed acks require the ack vector to advance only
         # through the shard's own stable advances; sharded groups also
         # advance it by absorbing peer views and disk rebuilds, so their

@@ -1,4 +1,4 @@
-"""Determinants, event identifiers and per-creator event sequences.
+"""Determinants, the per-creator determinant store and holder windows.
 
 Message-logging terminology (Alvisi/Marzullo):
 
@@ -13,11 +13,20 @@ Message-logging terminology (Alvisi/Marzullo):
 An event is identified by ``(creator, clock)``; clocks are contiguous
 per creator, which lets protocols exchange *ranges* of events and lets the
 Event Logger acknowledge with a single per-creator stable clock.
+
+A determinant is created once but held by many processes until the Event
+Logger makes it stable, so it is interned once: each cluster owns one
+:class:`DeterminantStore` (per creator, one backing list indexed by
+clock), every holder keeps an :class:`EventSequence` — a window of held
+clock spans over a backing list — and piggybacks ship ``(creator, first,
+last)`` clock ranges over backing lists (:mod:`repro.core.piggyback`)
+instead of copied determinants.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from typing import (
     Any,
     Iterable,
@@ -64,106 +73,148 @@ class Determinant(NamedTuple):
         return (self.creator, self.clock)
 
 
+def _place(backing: list, clock: int, det: Determinant) -> None:
+    """Fill the free slot of ``clock``, padding unseen clocks with None."""
+    if clock > len(backing):
+        backing.extend([None] * (clock - len(backing)))
+    backing[clock - 1] = det
+
+
+class DeterminantStore:
+    """Append-only per-creator determinant store, one per cluster.
+
+    :meth:`backing` is creator ``c``'s current backing list: index
+    ``k - 1`` holds the determinant with clock ``k`` (``None`` where no
+    holder has seen clock ``k`` yet).  A set entry never changes, so a
+    window or an in-flight piggyback run reads its clocks straight from
+    the list.  Nothing is pruned: the store is bounded by the
+    determinants created.
+
+    A creator that re-executes past a lost suffix may re-create a clock
+    with a *different* determinant.  :meth:`record` then forks: the
+    creator gets a new backing list (the prefix copied, the new
+    determinant appended) and every existing reader stays on the old one.
+    """
+
+    __slots__ = ("_lists", "_forked", "recreated_equal", "recreated_forked")
+
+    def __init__(self) -> None:
+        self._lists: dict[int, list[Optional[Determinant]]] = {}
+        #: creator -> backing lists forked away from, oldest first
+        self._forked: dict[int, list[list[Optional[Determinant]]]] = {}
+        #: host-side counters, excluded from checksums: re-creations of an
+        #: already created (creator, clock) that equal / differ from the
+        #: first determinant created for it (piecewise determinism says
+        #: replay only ever produces the equal kind)
+        self.recreated_equal = 0
+        self.recreated_forked = 0
+
+    def backing(self, creator: int) -> list[Optional[Determinant]]:
+        """Creator ``creator``'s current backing list."""
+        b = self._lists.get(creator)
+        if b is None:
+            b = self._lists[creator] = []
+        return b
+
+    def record(self, det: Determinant) -> None:
+        """``det`` was just created by its creator (a fresh or a replayed
+        reception)."""
+        creator = det.creator
+        clock = det.clock
+        b = self.backing(creator)
+        forked = self._forked.get(creator)
+        if forked is None and clock == len(b) + 1:
+            b.append(det)  # the common case: a first creation
+            return
+        held = b[clock - 1] if clock <= len(b) else None
+        if held is None:
+            _place(b, clock, det)
+        elif held != det:
+            self._forked.setdefault(creator, []).append(b)
+            self._lists[creator] = b[: clock - 1] + [det]
+        first = next(
+            (old[clock - 1] for old in forked or () if clock <= len(old)
+             and old[clock - 1] is not None),
+            held,
+        )
+        if first is not None and first == det:
+            self.recreated_equal += 1
+        elif first is not None:
+            self.recreated_forked += 1
+
+
+_first_clock = itemgetter(0)
+
+
 class EventSequence:
-    """Ordered, prunable sequence of one creator's determinants.
+    """One holder's window over a creator's determinants: a prune floor
+    (:attr:`pruned_upto`) plus the held clocks as sorted, disjoint,
+    non-adjacent ``(first, last)`` spans over one backing list (index
+    ``k - 1`` holds clock ``k``).  Usually there is one span; holes are
+    further spans, not a fallback.
 
-    Supports the three operations the protocols need, all O(log n) or
-    amortized O(1):
-
-    * :meth:`append` / :meth:`merge` — add determinants (clock-ordered),
-    * :meth:`tail_after` — all determinants with ``clock > bound`` (the
-      piggyback selection primitive),
-    * :meth:`prune_upto` — drop determinants made stable by an EL ack.
-
-    Pruning is lazy (an offset into the backing lists) with periodic
-    compaction, so no operation is O(n) per call in steady state.
+    The backing list is normally the :class:`DeterminantStore`'s list
+    for the creator, shared by every holder, so accepting a piggyback run
+    over the same list is span arithmetic.  Writes only fill free slots;
+    a determinant that conflicts with a set slot moves this window to a
+    list that agrees with everything it holds (the store's current list
+    when it does, else a private copy).
     """
 
     __slots__ = (
-        "creator",
-        "_clocks",
-        "_dets",
-        "_offset",
-        "pruned_upto",
-        "_contiguous",
-        "max_clock",
+        "creator", "pruned_upto", "max_clock", "_detstore", "_backing", "_spans", "_nheld",
     )
 
-    def __init__(self, creator: int) -> None:
+    def __init__(self, creator: int, store: Optional[DeterminantStore] = None) -> None:
         self.creator = creator
-        self._clocks: list[int] = []
-        self._dets: list[Determinant] = []
-        self._offset = 0
         #: events at or below this clock were pruned (stable) — gone forever
         self.pruned_upto = 0
-        #: True while the backing clocks are hole-free (the common case:
-        #: receptions arrive in clock order).  Lets :meth:`holds` answer
-        #: with two comparisons instead of a bisect; conservatively False
-        #: is always safe.
-        self._contiguous = True
-        #: highest clock in the backing lists (0 when empty); maintained on
-        #: every mutation because it is read on the per-event hot path
+        #: highest held clock (0 when nothing is held); read per event
         self.max_clock = 0
+        self._detstore = store = store if store is not None else DeterminantStore()
+        self._backing = store._lists.get(creator) or store.backing(creator)
+        self._spans: list[tuple[int, int]] = []
+        self._nheld = 0
 
     # -- inspection ----------------------------------------------------- #
 
     def __len__(self) -> int:
-        return len(self._clocks) - self._offset
+        return self._nheld
 
     @property
     def min_clock(self) -> Optional[int]:
-        return self._clocks[self._offset] if self._offset < len(self._clocks) else None
+        return self._spans[0][0] if self._spans else None
 
     def __iter__(self) -> Iterator[Determinant]:
-        return iter(self._dets[self._offset :])
-
-    def get(self, clock: int) -> Optional[Determinant]:
-        i = bisect_right(self._clocks, clock, lo=self._offset) - 1
-        if i >= self._offset and self._clocks[i] == clock:
-            return self._dets[i]
-        return None
+        b = self._backing
+        for first, last in list(self._spans):
+            yield from b[first - 1 : last]
 
     def holds(self, clock: int) -> bool:
-        """Membership test; O(1) on hole-free sequences."""
-        clocks = self._clocks
-        off = self._offset
-        if off >= len(clocks):
-            return False
-        if self._contiguous:
-            return clocks[off] <= clock <= clocks[-1]
-        return self.get(clock) is not None
+        spans = self._spans
+        if len(spans) == 1:
+            first, last = spans[0]
+            return first <= clock <= last
+        i = bisect_right(spans, clock, key=_first_clock)
+        return i > 0 and clock <= spans[i - 1][1]
 
-    def holds_range(self, first: int, last: int) -> bool:
-        """True when every clock in ``[first, last]`` is held.
-
-        O(1), and only answers True on hole-free sequences — the
-        duplicate-run fast path of the piggyback accept loops.  A False
-        answer is always safe (callers fall back to per-event checks).
-        """
-        clocks = self._clocks
-        off = self._offset
-        if off >= len(clocks) or not self._contiguous:
-            return False
-        return clocks[off] <= first and last <= clocks[-1]
+    def get(self, clock: int) -> Optional[Determinant]:
+        return self._backing[clock - 1] if self.holds(clock) else None
 
     def new_run_offset(self, first: int, last: int, count: int) -> Optional[int]:
         """Classify a clock-ascending run ``[first, last]`` of ``count``
-        events against this sequence, in O(1).
+        events against this window, in O(1).
 
         Returns the offset of the first event of the run not yet held:
         ``0`` (whole run new), ``count`` (whole run already held), or an
-        interior split when a hole-free run overlaps the hole-free held
-        prefix (everything up to :attr:`max_clock` is a duplicate).
-        ``None`` means the run cannot be classified O(1) — holes on one
-        side or the other — and the caller must merge per event.
+        interior split when a hole-free run overlaps a hole-free window
+        (everything up to :attr:`max_clock` is a duplicate).  ``None``
+        means the run cannot be classified O(1) — holes on one side or the
+        other — and the caller must merge per event.
 
-        Events at or below :attr:`pruned_upto` count as already held:
-        they are stable and must never be re-admitted, even when the
-        backing lists were compacted away (``max_clock == 0``) or the
-        sequence was just restored from a checkpoint image.
-
-        This is the single home of the accept-path split arithmetic; the
-        sequence and graph protocols both merge runs through it.
+        Events at or below :attr:`pruned_upto` count as already held: they
+        are stable and must never be re-admitted, even when the window is
+        empty (fully pruned, or just restored from a checkpoint image).
         """
         base = 0
         floor = self.pruned_upto
@@ -179,204 +230,239 @@ class EventSequence:
         maxc = self.max_clock
         if first > maxc:
             return base
-        if last - first + 1 == count - base and self.holds_range(
-            first, min(last, maxc)
+        spans = self._spans
+        if (
+            last - first + 1 == count - base
+            and len(spans) == 1
+            and spans[0][0] <= first
         ):
             return count if last <= maxc else base + (maxc - first + 1)
         return None
 
-    # -- mutation ------------------------------------------------------- #
-
-    def append(self, det: Determinant) -> None:
-        """Append a determinant with a clock greater than any held."""
-        if det.creator != self.creator:
-            raise ValueError(f"creator mismatch: {det.creator} != {self.creator}")
-        clocks = self._clocks
-        if clocks:
-            last = clocks[-1]
-            if det.clock <= last:
-                raise ValueError(
-                    f"non-monotonic append: clock {det.clock} <= {last}"
-                )
-            if det.clock != last + 1:
-                self._contiguous = False
-        clocks.append(det.clock)
-        self._dets.append(det)
-        self.max_clock = det.clock
-
-    def extend_monotonic(self, dets: Sequence[Determinant]) -> int:
-        """Bulk :meth:`append` of a clock-ascending run; returns its length.
-
-        Callers guarantee ``dets`` is strictly clock-ascending with this
-        sequence's creator (piggyback runs are tails of peer sequences, so
-        this holds by construction); the first clock is validated against
-        :attr:`max_clock` as in :meth:`append`.
-        """
-        if not dets:
-            return 0
-        clocks = self._clocks
-        run = [d.clock for d in dets]
-        first = run[0]
-        if clocks:
-            last = clocks[-1]
-            if first <= last:
-                raise ValueError(f"non-monotonic append: clock {first} <= {last}")
-            if first != last + 1:
-                self._contiguous = False
-        if run[-1] - first + 1 != len(run):
-            self._contiguous = False
-        clocks += run
-        self._dets += dets
-        self.max_clock = run[-1]
-        return len(run)
-
-    def merge(self, dets: Iterable[Determinant]) -> int:
-        """Insert determinants (any order); returns how many were new.
-
-        Events at or below :attr:`pruned_upto` are stable and stay gone —
-        a late duplicate from an unacknowledged peer must not resurrect
-        them.
-        """
-        added = 0
-        pending: list[Determinant] = []
-        for det in dets:
-            if det.creator != self.creator:
-                raise ValueError("creator mismatch in merge")
-            if det.clock <= self.pruned_upto:
-                continue
-            clocks = self._clocks
-            if clocks:
-                last = clocks[-1]
-                if det.clock <= last:
-                    if self.get(det.clock) is None:
-                        pending.append(det)
-                    continue
-                if det.clock != last + 1:
-                    self._contiguous = False
-            clocks.append(det.clock)
-            self._dets.append(det)
-            self.max_clock = det.clock
-            added += 1
-        if pending:
-            # rare path: filling holes below the current max (out-of-order
-            # ranges from different senders); do a sorted rebuild
-            merged = {d.clock: d for d in self._dets[self._offset :]}
-            for det in pending:
-                if det.clock not in merged:
-                    merged[det.clock] = det
-                    added += 1
-            items = sorted(merged.items())
-            self._clocks = [c for c, _ in items]
-            self._dets = [d for _, d in items]
-            self._offset = 0
-            self._contiguous = items[-1][0] - items[0][0] + 1 == len(items)
-            self.max_clock = items[-1][0]
-        return added
-
-    def tail_after(self, bound: int) -> list[Determinant]:
-        """All determinants with ``clock > bound``, clock-ordered."""
-        i = bisect_right(self._clocks, bound, lo=self._offset)
-        return self._dets[i:]
-
-    def index_window(
-        self, bound: int, upto: int
-    ) -> tuple[list[Determinant], int, int]:
+    def index_window(self, bound: int, upto: int) -> tuple[list, int, int]:
         """``(dets, lo, hi)`` such that ``dets[lo:hi]`` are exactly the
-        determinants with ``bound < clock <= upto``, clock-ordered.
+        held determinants with ``bound < clock <= upto``, clock-ordered.
 
-        Returns the backing list plus indices instead of a slice so that
-        callers can walk the window (in either direction) without copying
-        it — the knowledge traversal of the antecedence graph does this on
-        Manetho's send path, where a ``tail_after`` copy per visited chain
-        segment used to be the last per-send allocation.  The backing list
-        is **read-only by contract** (same rule as :meth:`StableVector.view`).
+        When those clocks are one span this is clock arithmetic over the
+        backing list — no copy, so the antecedence graph walks chain
+        segments (in either direction) allocation-free.  Across holes the
+        held determinants are gathered into a new list.  The list is
+        **read-only by contract**.
         """
-        clocks = self._clocks
-        lo = bisect_right(clocks, bound, lo=self._offset)
-        hi = bisect_right(clocks, upto, lo=lo)
-        return self._dets, lo, hi
+        lo = bound
+        hi = upto
+        spans = self._spans
+        if len(spans) == 1:
+            first, last = spans[0]
+            if first > lo + 1:
+                lo = first - 1
+            if last < hi:
+                hi = last
+            return (self._backing, lo, hi) if hi > lo else (self._backing, 0, 0)
+        b = self._backing
+        dets = [
+            d
+            for first, last in spans
+            if last > lo and first <= hi
+            for d in b[max(first, lo + 1) - 1 : min(last, hi)]
+        ]
+        return dets, 0, len(dets)
 
-    def extend_tail_into(self, out: list, bound: int) -> int:
-        """Append the ``clock > bound`` tail to ``out``; returns its length.
-
-        The piggyback build loops use this instead of :meth:`tail_after`
-        so that per-creator tails land directly in the outgoing event list
-        without materializing one intermediate list per creator.  When the
-        tail is non-empty its last clock is :attr:`max_clock` (tails always
-        run to the end of the sequence).
-        """
-        clocks = self._clocks
-        total = len(clocks)
-        i = self._offset
-        if i >= total or clocks[-1] <= bound:
-            return 0  # empty tail (bound caught up) — skip the bisect
-        if clocks[i] <= bound:
-            # clocks[-1] > bound >= clocks[i] puts at least two live
-            # entries in range, so total - 2 is a valid probe: when the
-            # next-to-last clock is covered too, only the last event is
-            # new (steady-state channels stay one event behind) and both
-            # the bisect and the slice can be skipped
-            if clocks[total - 2] <= bound:
-                out.append(self._dets[-1])
-                return 1
-            i = bisect_right(clocks, bound, lo=i)
-        n = total - i
-        out += self._dets[i:] if i else self._dets
+    def extend_tail_runs(self, runs: list, backings: list, bound: int) -> int:
+        """Append the held clocks above ``bound`` as ``(creator, first,
+        last)`` runs — one per span — to ``runs`` and their backing list
+        to ``backings``; return how many events they cover.  When any is
+        appended the last run ends at :attr:`max_clock`."""
+        maxc = self.max_clock
+        if maxc <= bound:
+            return 0
+        spans = self._spans
+        b = self._backing
+        creator = self.creator
+        if len(spans) == 1:
+            first = spans[0][0]
+            if first <= bound:
+                first = bound + 1
+            runs.append((creator, first, maxc))
+            backings.append(b)
+            return maxc - first + 1
+        n = 0
+        for first, last in spans:
+            if last > bound:
+                if first <= bound:
+                    first = bound + 1
+                runs.append((creator, first, last))
+                backings.append(b)
+                n += last - first + 1
         return n
 
     def clocks_upto(self, bound: int) -> list[int]:
-        """Live clocks ``<= bound``, ascending.
+        """Held clocks ``<= bound``, ascending (the antecedence graph walks
+        these right before pruning them)."""
+        return [
+            k
+            for first, last in self._spans
+            if first <= bound
+            for k in range(first, min(last, bound) + 1)
+        ]
 
-        Copies only the matching prefix (the antecedence graph walks this
-        right before pruning it, so the work is proportional to the events
-        dropped, not to the events held).
+    # -- mutation ------------------------------------------------------- #
+
+    def _put(self, clock: int, det: Determinant) -> None:
+        """Make the backing list hold ``det`` at ``clock`` (not yet held)."""
+        b = self._backing
+        if clock > len(b) or b[clock - 1] is None:
+            _place(b, clock, det)
+            return
+        held = b[clock - 1]
+        if held is det or held == det:
+            return
+        # a set slot conflicts: move to the store's current list if it
+        # agrees with everything held plus det, else to a private copy
+        cur = self._detstore.backing(self.creator)
+        if (
+            cur is not b
+            and clock <= len(cur)
+            and cur[clock - 1] == det
+            and all(
+                last <= len(cur) and cur[first - 1 : last] == b[first - 1 : last]
+                for first, last in self._spans
+            )
+        ):
+            self._backing = cur
+        else:
+            b = self._backing = list(b)
+            b[clock - 1] = det
+
+    def _hold(self, clock: int) -> None:
+        """Add one not-yet-held clock to the spans."""
+        spans = self._spans
+        i = bisect_right(spans, clock, key=_first_clock)
+        left = i > 0 and spans[i - 1][1] == clock - 1
+        right = i < len(spans) and spans[i][0] == clock + 1
+        if left and right:
+            spans[i - 1] = (spans[i - 1][0], spans.pop(i)[1])
+        elif left:
+            spans[i - 1] = (spans[i - 1][0], clock)
+        elif right:
+            spans[i] = (clock, spans[i][1])
+        else:
+            spans.insert(i, (clock, clock))
+        self._nheld += 1
+        if clock > self.max_clock:
+            self.max_clock = clock
+
+    def append(self, det: Determinant) -> None:
+        """Hold a determinant with a clock greater than any held."""
+        if det.creator != self.creator:
+            raise ValueError(f"creator mismatch: {det.creator} != {self.creator}")
+        clock = det.clock
+        spans = self._spans
+        if spans and clock <= self.max_clock:
+            raise ValueError(
+                f"non-monotonic append: clock {clock} <= {self.max_clock}"
+            )
+        b = self._backing
+        if clock > len(b) or b[clock - 1] is not det:
+            self._put(clock, det)  # not already there (a creator's own is)
+        if spans and clock == self.max_clock + 1:
+            spans[-1] = (spans[-1][0], clock)
+        else:
+            spans.append((clock, clock))
+        self._nheld += 1
+        self.max_clock = clock
+
+    def extend_monotonic(self, first: int, last: int, backing: list) -> int:
+        """Hold the run ``[first, last]`` of ``backing`` (a creator backing
+        list) above every held clock; returns its length.
+
+        The accept paths' bulk append: over this window's own backing
+        list, or into an empty window (which adopts ``backing``), it is
+        span arithmetic; any other list is copied in clock by clock.
         """
-        hi = bisect_right(self._clocks, bound, lo=self._offset)
-        return self._clocks[self._offset : hi]
+        if last < first:
+            return 0
+        spans = self._spans
+        if spans:
+            if first <= self.max_clock:
+                raise ValueError(
+                    f"non-monotonic append: clock {first} <= {self.max_clock}"
+                )
+            if backing is not self._backing:
+                for k in range(first, last + 1):
+                    self._put(k, backing[k - 1])
+                    self._hold(k)
+                return last - first + 1
+            if first == self.max_clock + 1:
+                spans[-1] = (spans[-1][0], last)
+            else:
+                spans.append((first, last))
+        else:
+            self._backing = backing
+            spans.append((first, last))
+        n = last - first + 1
+        self._nheld += n
+        self.max_clock = last
+        return n
+
+    def merge(self, dets: Iterable[Determinant]) -> int:
+        """Hold determinants given in any order; returns how many were new.
+
+        Events at or below :attr:`pruned_upto` are stable and stay gone —
+        a late duplicate from an unacknowledged peer must not resurrect
+        them.  A clock already held keeps its determinant.
+        """
+        added = 0
+        for det in dets:
+            if det.creator != self.creator:
+                raise ValueError("creator mismatch in merge")
+            clock = det.clock
+            if clock <= self.pruned_upto or (
+                clock <= self.max_clock and self.holds(clock)
+            ):
+                continue
+            self._put(clock, det)
+            self._hold(clock)
+            added += 1
+        return added
 
     def prune_upto(self, clock: int) -> int:
         """Drop determinants with ``clock <= clock``; returns count dropped.
 
-        This runs once per advanced creator per EL ack — the hottest
-        non-message path of the whole repository — so the common shapes
-        are O(1): nothing held, nothing stable yet, everything stable
-        (in-place clear), and the hole-free sequence (index arithmetic
-        instead of a bisect).  Only sequences with holes pay the bisect.
+        Runs once per advanced creator per EL ack, so the common shapes
+        are O(1): nothing held, nothing stable yet, everything stable.
         """
         if clock > self.pruned_upto:
             self.pruned_upto = clock
-        clocks = self._clocks
-        off = self._offset
-        n = len(clocks)
-        if off >= n or clock < clocks[off]:
+        maxc = self.max_clock
+        if not maxc:
             return 0
-        if clock >= clocks[-1]:
-            # the whole live window became stable (steady EL ack streams
-            # keep sequences fully pruned): drop everything, keeping the
-            # "highest clock reads 0 once fully compacted" definition
-            dropped = n - off
-            clocks.clear()
-            self._dets.clear()
-            self._offset = 0
-            self._contiguous = True
+        if clock >= maxc:
+            dropped = self._nheld
+            self._spans.clear()
+            self._nheld = 0
             self.max_clock = 0
             return dropped
-        if self._contiguous:
-            i = off + (clock - clocks[off] + 1)
-        else:
-            i = bisect_right(clocks, clock, lo=off)
-        dropped = i - off
-        self._offset = i
-        if i > 64 and i * 2 > n:
-            self._clocks = clocks[i:]
-            self._dets = self._dets[i:]
-            self._offset = 0
+        spans = self._spans
+        if clock < spans[0][0]:
+            return 0
+        dropped = 0
+        while spans[0][1] <= clock:
+            first, last = spans.pop(0)
+            dropped += last - first + 1
+        first, last = spans[0]
+        if first <= clock:
+            dropped += clock - first + 1
+            spans[0] = (clock + 1, last)
+        self._nheld -= dropped
         return dropped
 
     # -- checkpoint round-trip ------------------------------------------ #
 
     def export_state(self) -> dict[str, Any]:
-        """Checkpointable state: the live determinants plus the prune floor.
+        """Checkpointable state: the held determinants, materialized (a
+        deep copy of an image must not copy a backing list), plus the
+        prune floor.
 
         ``pruned_upto`` must survive the round-trip: :meth:`merge` relies on
         it to refuse resurrecting stable determinants, so a restore that
@@ -386,10 +472,13 @@ class EventSequence:
         return {"dets": list(self), "pruned_upto": self.pruned_upto}
 
     @classmethod
-    def from_state(cls, creator: int, state: Any) -> "EventSequence":
-        """Rebuild from :meth:`export_state` output (bare determinant lists
-        from pre-``pruned_upto`` checkpoint images are accepted too)."""
-        seq = cls(creator)
+    def from_state(
+        cls, creator: int, state: Any, store: Optional[DeterminantStore] = None
+    ) -> "EventSequence":
+        """Rebuild from :meth:`export_state` output, interning the
+        determinants into ``store`` again (bare determinant lists from
+        pre-``pruned_upto`` checkpoint images are accepted too)."""
+        seq = cls(creator, store)
         if isinstance(state, dict):
             seq.pruned_upto = state["pruned_upto"]
             dets = state["dets"]

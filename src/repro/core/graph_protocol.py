@@ -11,12 +11,12 @@ live in the subclasses around the shared steps here.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.core.antecedence import AntecedenceGraph
 from repro.core.bounds import BoundVector
-from repro.core.events import Determinant, StableState
-from repro.core.piggyback import Piggyback, creator_runs
+from repro.core.events import Determinant, DeterminantStore, StableState
+from repro.core.piggyback import Piggyback
 from repro.core.protocol_base import VProtocol
 from repro.metrics.probes import ProcessProbes
 from repro.runtime.config import ClusterConfig
@@ -35,9 +35,10 @@ class GraphProtocol(VProtocol):
         nprocs: int,
         config: ClusterConfig,
         probes: ProcessProbes,
+        store: Optional[DeterminantStore] = None,
     ) -> None:
-        super().__init__(rank, nprocs, config, probes)
-        self.graph = AntecedenceGraph(nprocs)
+        super().__init__(rank, nprocs, config, probes, store)
+        self.graph = AntecedenceGraph(nprocs, self.store)
         #: peer -> sparse per-creator clock bounds the peer is known to hold
         self.known: dict[int, BoundVector] = {}
         #: peer -> highest reception clock of that peer observed (via dep
@@ -64,11 +65,9 @@ class GraphProtocol(VProtocol):
             return self.graph.raise_knowledge((dst, start), known)
         return 0
 
-    def _merge_runs(
-        self, src: int, pb: Piggyback, dep: int
-    ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    def _merge_runs(self, src: int, pb: Piggyback, dep: int) -> int:
         """Merge ``pb`` into the graph run-at-a-time and raise what
-        ``src`` is known to hold; returns (new events, run table).
+        ``src`` is known to hold; returns the new events.
 
         Within a run the creator's clocks ascend, and across runs of the
         same creator later runs carry later clocks (chain order is causal
@@ -78,13 +77,10 @@ class GraphProtocol(VProtocol):
         known = self._known(src).data
         kget = known.get
         graph = self.graph
-        events = pb.events
         new = 0
-        runs = pb.runs or creator_runs(events)
         r0, d0 = graph.run_merges, graph.det_merges
-        for creator, i, j in runs:
-            new += graph.add_run(events[i:j])
-            last = events[j - 1].clock
+        for (creator, first, last), backing in zip(pb.runs, pb.backings):
+            new += graph.add_run(creator, first, last, backing)
             if last > kget(creator, 0):
                 known[creator] = last
         self.probes.pb_accept_runs += graph.run_merges - r0
@@ -94,7 +90,7 @@ class GraphProtocol(VProtocol):
         # knowledge closure of (src, dep) is discovered lazily at next send
         if dep > self.peer_clock_seen.get(src, 0):
             self.peer_clock_seen[src] = dep
-        return new, runs
+        return new
 
     def on_local_event(self, det: Determinant) -> None:
         self.graph.add(det)
@@ -131,7 +127,7 @@ class GraphProtocol(VProtocol):
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self.graph = AntecedenceGraph(self.nprocs)
+        self.graph = AntecedenceGraph(self.nprocs, self.store)
         self.graph.restore_state(state["graph"])
         self.known = {
             p: BoundVector.from_state(v) for p, v in state["known"].items()

@@ -15,15 +15,14 @@ Like Manetho, LogOn maintains an antecedence graph, but it additionally
 * The partial order makes factoring by creator impossible, so each wire
   event carries its creator rank (16 bytes vs 12, paper §III-C).
 
-Run table: maximal same-creator stretches of the linear extension are
-clock-ascending chain segments, so ``build_piggyback`` records them as a
-``(creator, start, stop)`` run table (``Piggyback.runs``) and
-``accept_piggyback`` merges run-at-a-time through
-:meth:`~repro.core.antecedence.AntecedenceGraph.add_run` instead of one
-graph probe per determinant.  The table is free on the wire: boundaries
-are implicit in the flat format because every event already carries its
-creator rank, so the 16-byte accounting above is unchanged.  See
-``docs/PROTOCOLS.md`` for the full wire-format and accept-path contract.
+Runs: maximal same-creator, clock-contiguous stretches of the linear
+extension are chain segments, so ``build_piggyback`` ships the extension
+as ``(creator, first, last)`` clock-range runs (``Piggyback.runs``) and
+``accept_piggyback`` merges them run-at-a-time through
+:meth:`~repro.core.antecedence.AntecedenceGraph.add_run`.  Boundaries
+are free on the wire (every flat event already carries its creator rank,
+so the 16-byte accounting above is unchanged).  See ``docs/PROTOCOLS.md``
+for the full wire-format and accept-path contract.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from __future__ import annotations
 from math import log2
 
 from repro.core.graph_protocol import GraphProtocol
-from repro.core.piggyback import Piggyback, creator_runs, flat_bytes
+from repro.core.events import Determinant
+from repro.core.piggyback import Piggyback, Run, flat_bytes, run_events
 
 
 class LogOnProtocol(GraphProtocol):
@@ -53,10 +53,10 @@ class LogOnProtocol(GraphProtocol):
         # since the last build for dst (clean chains contribute nothing)
         graph = self.graph
         candidates = self._build_candidates(dst, graph.growth)
-        events, scan, _runs = graph.select_unknown(known, self.stable, candidates)
+        runs, backings, scan, _ = graph.select_unknown(known, self.stable, candidates)
         # reorder into a linear extension of the causal order (the defining
         # LogOn step; n log n)
-        ordered = self.graph.topological(events)
+        ordered = self.graph.topological(run_events(runs, backings))
         n = len(ordered)
         reorder = n * max(1.0, log2(n)) * cfg.cost_logon_reorder_s if n else 0.0
         # sparse mode charges the held chains, not nprocs; the charge is
@@ -71,18 +71,15 @@ class LogOnProtocol(GraphProtocol):
         )
         self.probes.pb_send_ops += visits + scan + n
         self.probes.pb_send_time_s += cost
-        # Run table over the linear extension: maximal same-creator
-        # stretches of the partial order are clock-ascending chain
-        # segments, so the receiver can merge them run-at-a-time.  The
-        # table costs nothing on the wire — boundaries are implicit in the
-        # flat format because every event already carries its creator rank
-        # (the 16-byte §III-C accounting is unchanged).
-        return Piggyback(
-            events=tuple(ordered),
-            nbytes=flat_bytes(ordered, self.config),
-            build_cost_s=cost,
-            runs=tuple(creator_runs(ordered)),
-        )
+        # Runs over the linear extension, so the receiver can merge them
+        # run-at-a-time.  They cost nothing on the wire — boundaries are
+        # implicit in the flat format because every event already carries
+        # its creator rank (the 16-byte §III-C accounting is unchanged).
+        backing_of = {run[0]: b for run, b in zip(runs, backings)}
+        linear, groups = _linear_runs(ordered)
+        linear_backings = tuple(backing_of[run[0]] for run in linear)
+        nbytes = flat_bytes(ordered, cfg)
+        return Piggyback(linear, linear_backings, n, groups, nbytes, cost)
 
     def accept_piggyback(self, src: int, pb: Piggyback, dep: int) -> float:
         cfg = self.config
@@ -90,23 +87,41 @@ class LogOnProtocol(GraphProtocol):
         # chain runs; consume run-at-a-time (batch append, O(1) duplicate
         # skip) exactly like the factored formats, instead of one graph
         # probe per determinant
-        new, runs = self._merge_runs(src, pb, dep)
+        new = self._merge_runs(src, pb, dep)
         # sparse mode: the touched knowledge entries are the distinct
         # creators plus src's own (the set is only materialized when the
         # sparse model will charge for it)
         touched = (
             0
             if self._recv_scan_dense is not None
-            else len({r[0] for r in runs}) + 1
+            else len({r[0] for r in pb.runs}) + 1
         )
         # single forward pass: the partial order guarantees predecessors
         # are already present, so no re-linking pass is needed
         cost = (
             self._pb_recv_scan_cost(touched)
             + new * cfg.cost_graph_insert_s
-            + len(pb.events) * cfg.cost_deserialize_event_s
+            + pb.n_events * cfg.cost_deserialize_event_s
         )
         self.probes.pb_recv_ops += new
         self.probes.pb_recv_time_s += cost
         self.probes.note_events_held(len(self.graph))
         return cost
+
+
+def _linear_runs(ordered: list[Determinant]) -> tuple[tuple[Run, ...], int]:
+    """``ordered`` as clock-range runs, plus its number of maximal
+    same-creator stretches."""
+    runs: list[Run] = []
+    groups = 0
+    prev = -1
+    for d in ordered:
+        creator = d.creator
+        if creator != prev:
+            groups += 1
+            prev = creator
+        elif runs[-1][2] == d.clock - 1:
+            runs[-1] = (creator, runs[-1][1], d.clock)
+            continue
+        runs.append((creator, d.clock, d.clock))
+    return tuple(runs), groups

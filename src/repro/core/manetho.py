@@ -42,9 +42,8 @@ class ManethoProtocol(GraphProtocol):
         # already covered by the knowledge bound and contribute nothing.
         graph = self.graph
         candidates = self._build_candidates(dst, graph.growth)
-        events, scan, runs = graph.select_unknown(known, self.stable, candidates)
-        visits += scan
-        n = len(events)
+        runs, backings, n, groups = graph.select_unknown(known, self.stable, candidates)
+        visits += n
         # sparse mode charges the held chains, not nprocs; the charge is
         # worklist-independent (simulated results must not change)
         cost = (
@@ -56,27 +55,24 @@ class ManethoProtocol(GraphProtocol):
         )
         self.probes.pb_send_ops += visits + n
         self.probes.pb_send_time_s += cost
-        return Piggyback(
-            events=tuple(events),
-            nbytes=factored_bytes_from_counts(n, len(runs), cfg),
-            build_cost_s=cost,
-            runs=tuple(runs),
-        )
+        nbytes = factored_bytes_from_counts(n, groups, cfg)
+        return Piggyback(tuple(runs), tuple(backings), n, groups, nbytes, cost)
 
     def accept_piggyback(self, src: int, pb: Piggyback, dep: int) -> float:
         cfg = self.config
         # the factored wire format groups events into clock-ascending
         # creator runs; merge run-at-a-time (see AntecedenceGraph.add_run)
-        new, runs = self._merge_runs(src, pb, dep)
+        new = self._merge_runs(src, pb, dep)
         # Manetho must re-cross the merged region to generate the new edges
         # (second pass over every piggybacked event, new or duplicate)
-        relink = len(pb.events)
-        # sparse mode: one knowledge entry touched per run plus src's own
+        relink = pb.n_events
+        # sparse mode: one knowledge entry touched per creator group plus
+        # src's own
         cost = (
-            self._pb_recv_scan_cost(len(runs) + 1)
+            self._pb_recv_scan_cost(pb.n_groups + 1)
             + new * cfg.cost_graph_insert_s
             + relink * cfg.cost_graph_insert_s
-            + len(pb.events) * cfg.cost_deserialize_event_s
+            + pb.n_events * cfg.cost_deserialize_event_s
         )
         self.probes.pb_recv_ops += new + relink
         self.probes.pb_recv_time_s += cost

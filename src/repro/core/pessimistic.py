@@ -13,9 +13,9 @@ as a comparison point in the examples.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
-from repro.core.events import Determinant, EventSequence, StableState
+from repro.core.events import Determinant, DeterminantStore, EventSequence, StableState
 from repro.core.piggyback import Piggyback
 from repro.core.protocol_base import VProtocol
 from repro.metrics.probes import ProcessProbes
@@ -37,10 +37,11 @@ class PessimisticProtocol(VProtocol):
         nprocs: int,
         config: ClusterConfig,
         probes: ProcessProbes,
+        store: Optional[DeterminantStore] = None,
     ) -> None:
-        super().__init__(rank, nprocs, config, probes)
+        super().__init__(rank, nprocs, config, probes, store)
         #: own events not yet acknowledged by the EL
-        self.own = EventSequence(rank)
+        self.own = EventSequence(rank, self.store)
 
     def build_piggyback(self, dst: int) -> Piggyback:
         # nothing rides on messages; stability gating happens in the daemon
@@ -68,7 +69,5 @@ class PessimisticProtocol(VProtocol):
         return {"own": list(self.own), "stable": self.stable.as_list()}
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self.own = EventSequence(self.rank)
-        for det in state["own"]:
-            self.own.append(det)
+        self.own = EventSequence.from_state(self.rank, state["own"], self.store)
         self.stable.update(state["stable"])

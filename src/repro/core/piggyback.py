@@ -11,10 +11,16 @@ Two encodings exist in the paper:
   creators, so factoring is impossible; every event carries its creator
   rank and costs 16 bytes.  "For the same number of events to piggyback,
   the actual size in bytes of data added to the message is higher for
-  LogOn."  A run table over the maximal same-creator stretches of the
-  partial order still rides along as :attr:`Piggyback.runs` (implicit in
-  the flat stream, zero wire bytes) so the accept path merges
-  run-at-a-time.
+  LogOn."
+
+Either way a :class:`Piggyback` carries the events as clock-range runs
+``(creator, first, last)``, each with the sender's interned backing list
+it reads from (:class:`~repro.core.events.DeterminantStore`), plus the
+event and creator-group counts the byte and cost accounting needs.  A run is a
+clock-contiguous stretch of one creator; a creator group (a factored
+``{rid, nb, …}`` entry, or a maximal same-creator stretch of LogOn's
+linear extension) is one or more runs.  :attr:`Piggyback.events` derives
+the determinant list from the runs.
 
 Byte sizes are configurable through :class:`~repro.runtime.config.ClusterConfig`;
 the defaults match 4-byte rank/clock/ssn fields.
@@ -22,7 +28,6 @@ the defaults match 4-byte rank/clock/ssn fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from typing import Sequence
@@ -30,70 +35,67 @@ from typing import Sequence
 from repro.core.events import Determinant
 from repro.runtime.config import ClusterConfig
 
-#: shared grouping key: a creator "run" is a maximal stretch of consecutive
-#: events with the same creator rank (both the byte accounting and the
-#: wire-format grouping are defined over these runs)
-_creator_key = attrgetter("creator")
+#: ``(creator, first, last)``: clocks ``first..last`` of ``creator``
+Run = tuple[int, int, int]
 
 
-def count_creator_runs(events: Sequence[Determinant]) -> int:
-    """Number of creator runs in ``events`` (shared with :func:`group_by_creator`)."""
-    return sum(1 for _ in groupby(events, key=_creator_key))
+def run_events(runs: Sequence[Run], backings: Sequence[list]) -> list[Determinant]:
+    """The determinants ``runs`` cover; run ``i`` reads ``backings[i]``."""
+    return [
+        d
+        for (_c, first, last), backing in zip(runs, backings)
+        for d in backing[first - 1 : last]
+    ]
 
 
-def creator_runs(
-    events: Sequence[Determinant],
-) -> list[tuple[int, int, int]]:
-    """Creator runs of ``events`` as ``(creator, start, stop)`` index triples."""
-    runs = []
-    i = 0
-    for creator, group in groupby(events, key=_creator_key):
-        n = sum(1 for _ in group)
-        runs.append((creator, i, i + n))
-        i += n
-    return runs
-
-
-@dataclass(frozen=True)
 class Piggyback:
-    """Causality information attached to one application message."""
+    """Causality information attached to one application message
+    (read-only by contract)."""
 
-    events: tuple[Determinant, ...] = ()
-    nbytes: int = 0
-    #: simulated seconds spent building this piggyback (serialization +
-    #: graph traversal, charged to the sender before the wire)
-    build_cost_s: float = 0.0
-    #: creator-run boundaries of ``events`` as ``(creator, start, stop)``
-    #: index triples.  For the factored formats this is the wire format's
-    #: group table, recorded for free by builders that assemble events
-    #: creator-by-creator; for the flat LogOn format it is the run table
-    #: over the linear extension (boundaries are implicit in the flat
-    #: stream — every event carries its creator — so it adds no wire
-    #: bytes).  Either way the accept path consumes whole clock-ascending
-    #: runs instead of re-scanning per event; empty means "not
-    #: precomputed" (accept falls back to :func:`creator_runs`).
-    runs: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("runs", "backings", "n_events", "n_groups", "nbytes", "build_cost_s")
+
+    def __init__(
+        self,
+        runs: tuple[Run, ...] = (),
+        backings: tuple[list, ...] = (),
+        n_events: int = 0,
+        n_groups: int = 0,
+        nbytes: int = 0,
+        build_cost_s: float = 0.0,
+    ) -> None:
+        #: the events as clock-range runs
+        self.runs = runs
+        #: each run's backing list, in run order.  Kept apart from the runs
+        #: so that a run is a tuple of ints, which the cyclic GC untracks:
+        #: runs holding a list stay tracked, survive young collections
+        #: while in flight and trigger extra full collections
+        self.backings = backings
+        #: events the runs cover
+        self.n_events = n_events
+        #: creator groups: what the factored format pays a header for
+        self.n_groups = n_groups
+        self.nbytes = nbytes
+        #: simulated seconds spent building this piggyback (serialization +
+        #: graph traversal, charged to the sender before the wire)
+        self.build_cost_s = build_cost_s
 
     @property
-    def n_events(self) -> int:
-        return len(self.events)
+    def events(self) -> tuple[Determinant, ...]:
+        """The piggybacked determinants, derived from :attr:`runs`."""
+        return tuple(run_events(self.runs, self.backings))
 
 
 def factored_bytes(events: Sequence[Determinant], config: ClusterConfig) -> int:
-    """Wire size of a factored (Vcausal/Manetho) piggyback."""
-    return factored_bytes_from_counts(len(events), count_creator_runs(events), config)
+    """Wire size of a factored (Vcausal/Manetho) piggyback: one group
+    header per maximal same-creator stretch of ``events``."""
+    groups = sum(1 for _ in groupby(events, key=attrgetter("creator")))
+    return factored_bytes_from_counts(len(events), groups, config)
 
 
 def factored_bytes_from_counts(
     n_events: int, n_groups: int, config: ClusterConfig
 ) -> int:
-    """:func:`factored_bytes` from pre-counted totals.
-
-    The protocol build loops already visit events one creator group at a
-    time, so they count groups incrementally and skip the O(n) re-scan of
-    the assembled piggyback.  ``n_groups`` must equal
-    ``count_creator_runs(events)`` for the same event list.
-    """
+    """:func:`factored_bytes` from the counts the build loops keep."""
     return (
         config.pb_length_header_bytes
         + n_groups * config.pb_group_header_bytes
@@ -104,10 +106,3 @@ def factored_bytes_from_counts(
 def flat_bytes(events: Sequence[Determinant], config: ClusterConfig) -> int:
     """Wire size of a flat (LogOn) piggyback."""
     return config.pb_length_header_bytes + len(events) * config.pb_event_flat_bytes
-
-
-def group_by_creator(
-    events: Sequence[Determinant],
-) -> list[tuple[int, list[Determinant]]]:
-    """Group a creator-sorted event list into (creator, events) runs."""
-    return [(c, list(g)) for c, g in groupby(events, key=_creator_key)]

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.events import Determinant, GrowthLog, StableState, StableVector
+from repro.core.events import (
+    Determinant, DeterminantStore, GrowthLog, StableState, StableVector,
+)
 from repro.core.interfaces import DaemonHost
 from repro.core.piggyback import Piggyback
 from repro.metrics.probes import ProcessProbes
@@ -43,7 +45,7 @@ class VProtocol:
     """Base class: no-op hooks, shared bookkeeping."""
 
     __slots__ = (
-        "rank", "nprocs", "config", "probes", "daemon", "stable",
+        "rank", "nprocs", "config", "probes", "daemon", "stable", "store",
         "_send_scan_dense", "_recv_scan_dense", "_chan_synced",
     )
 
@@ -54,13 +56,23 @@ class VProtocol:
     #: human-readable protocol name
     name = "base"
 
-    def __init__(self, rank: int, nprocs: int, config: ClusterConfig, probes: ProcessProbes) -> None:
+    def __init__(
+        self,
+        rank: int,
+        nprocs: int,
+        config: ClusterConfig,
+        probes: ProcessProbes,
+        store: Optional[DeterminantStore] = None,
+    ) -> None:
         self.rank = rank
         self.nprocs = nprocs
         self.config = config
         self.probes = probes
         self.daemon: Optional[DaemonHost] = None
         self.stable = StableVector(nprocs)
+        #: where held determinants are interned: the cluster's one store,
+        #: or a private one for a protocol driven on its own
+        self.store = store if store is not None else DeterminantStore()
         #: bound-vector scan cost model (see ClusterConfig.pb_cost_model).
         #: Dense compatibility mode charges these precomputed ``× nprocs``
         #: constants on every build/merge; None selects the sparse model,
@@ -206,6 +218,7 @@ def make_protocol(
     nprocs: int,
     config: ClusterConfig,
     probes: ProcessProbes,
+    store: Optional[DeterminantStore] = None,
 ) -> VProtocol:
     """Protocol factory keyed by :class:`~repro.runtime.config.StackSpec` name."""
     # local imports avoid a cycle (protocol modules import this base)
@@ -226,4 +239,4 @@ def make_protocol(
     }
     if protocol not in classes:
         raise ValueError(f"unknown protocol {protocol!r}")
-    return classes[protocol](rank, nprocs, config, probes)
+    return classes[protocol](rank, nprocs, config, probes, store)

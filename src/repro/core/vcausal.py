@@ -15,28 +15,28 @@ a weak piggyback size reduction" protocol.
 
 With an Event Logger, sequences are pruned up to the acknowledged stable
 clocks, which is where the dramatic size reduction of Fig. 7 comes from.
+
+Each sequence is an :class:`~repro.core.events.EventSequence` window over
+the cluster's interned backing list for its creator, so a "tail" is a
+clock range: the build ships one ``(creator, first, last)`` run and its
+backing list per held span (O(dirty creators)), the accept extends the
+receiver's window span-at-a-time (O(runs)), and an ack prune is a floor
+raise per moved creator.  Simulated bytes and costs are functions of the
+event and group counts only, never of how the runs are split.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
-from bisect import bisect_right
 from math import log2
 
 from repro.core.bounds import BoundVector
 from repro.core.event_logger import ElAck
 from repro.core.events import (
-    Determinant,
-    EventSequence,
-    GrowthLog,
-    StableState,
+    Determinant, DeterminantStore, EventSequence, GrowthLog, StableState,
 )
-from repro.core.piggyback import (
-    Piggyback,
-    creator_runs,
-    factored_bytes_from_counts,
-)
+from repro.core.piggyback import Piggyback, Run, factored_bytes_from_counts
 from repro.core.protocol_base import VProtocol
 from repro.metrics.probes import ProcessProbes
 from repro.runtime.config import ClusterConfig
@@ -67,8 +67,9 @@ class VcausalProtocol(VProtocol):
         nprocs: int,
         config: ClusterConfig,
         probes: ProcessProbes,
+        store: Optional[DeterminantStore] = None,
     ) -> None:
-        super().__init__(rank, nprocs, config, probes)
+        super().__init__(rank, nprocs, config, probes, store)
         #: creator -> ordered determinant sequence (own events included)
         self.seqs: dict[int, EventSequence] = {}
         #: peer -> sparse per-creator clock bound already exchanged on that
@@ -110,7 +111,7 @@ class VcausalProtocol(VProtocol):
     def _seq(self, creator: int) -> EventSequence:
         seq = self.seqs.get(creator)
         if seq is None:
-            seq = self.seqs[creator] = EventSequence(creator)
+            seq = self.seqs[creator] = EventSequence(creator, self.store)
             self._growth.register(creator)
             self._fresh_prune.append(creator)
             self._fresh_set.add(creator)
@@ -131,19 +132,18 @@ class VcausalProtocol(VProtocol):
         bget = bound.get
         sget = self._sv.get
         cfg = self.config
-        events: list[Determinant] = []
-        runs: list[tuple[int, int, int]] = []
+        runs: list[Run] = []
+        backings: list[list] = []
+        n = groups = 0
         # an empty-window creator can never contribute — its max_clock is
         # 0 — so walk the dirty list intersected with the live set.
         # Filtering preserves the dirty list's sequence-creation order, so
         # piggybacks stay byte-identical to a scan of every held sequence.
         lget = self._live.get
-        items = [
-            (c, s_)
-            for c in self._build_candidates(dst, self._growth)
-            if (s_ := lget(c)) is not None
-        ]
-        for creator, seq in items:
+        for creator in self._build_candidates(dst, self._growth):
+            seq = lget(creator)
+            if seq is None:
+                continue
             lo = bget(creator, 0)
             s = sget(creator, 0)
             if s > lo:
@@ -151,32 +151,9 @@ class VcausalProtocol(VProtocol):
             mc = seq.max_clock
             if mc <= lo:
                 continue  # nothing new on this channel for this creator
-            # inline of EventSequence.extend_tail_into — the flood regime
-            # calls this once per held sequence per send, so the call
-            # frame itself shows up; the shapes and their order are the
-            # method's, verbatim
-            clocks = seq._clocks
-            i = seq._offset
-            total = len(clocks)
-            if i >= total:
-                continue  # empty window (mirrors the method's guard)
-            dets = seq._dets
-            start = len(events)
-            if clocks[i] <= lo:
-                if clocks[total - 2] <= lo:
-                    # steady-state channel: only the last event is new
-                    events.append(dets[-1])
-                    n1 = 1
-                else:
-                    i = bisect_right(clocks, lo, lo=i)
-                    events += dets[i:]
-                    n1 = total - i
-            else:
-                events += dets[i:] if i else dets
-                n1 = total - i
-            runs.append((creator, start, start + n1))
+            n += seq.extend_tail_runs(runs, backings, lo)
+            groups += 1
             bound[creator] = mc
-        n = len(events)
         # sparse mode charges the held sequences, not nprocs.  The charge
         # is deliberately worklist-independent (len(seqs) even when the
         # worklist scanned fewer): the worklist is a host wall-clock
@@ -190,12 +167,8 @@ class VcausalProtocol(VProtocol):
         )
         self.probes.pb_send_ops += n
         self.probes.pb_send_time_s += cost
-        return Piggyback(
-            events=tuple(events),
-            nbytes=factored_bytes_from_counts(n, len(runs), cfg),
-            build_cost_s=cost,
-            runs=tuple(runs),
-        )
+        nbytes = factored_bytes_from_counts(n, groups, cfg)
+        return Piggyback(tuple(runs), tuple(backings), n, groups, nbytes, cost)
 
     def on_local_event(self, det: Determinant) -> None:
         seq = self._seq(self.rank)
@@ -218,13 +191,10 @@ class VcausalProtocol(VProtocol):
         added = 0
         acc_runs = 0  # probe deltas accumulated locally, flushed once
         acc_fallback = 0
-        events = pb.events
-        runs = pb.runs or creator_runs(events)
-        # piggybacks arrive as clock-ascending runs, one per creator (they
-        # are tails of the sender's sequences), so merge run-at-a-time:
-        # an all-new run batch-appends and an already-held run is skipped
-        # outright instead of paying one membership probe per event.
-        for creator, i, j in runs:
+        # runs are clock ranges (tails of the sender's windows): an
+        # all-new run is one span extension over the shared backing list
+        # and an already-held run is skipped outright
+        for (creator, first, last), backing in zip(pb.runs, pb.backings):
             seq = seqs.get(creator)
             if seq is None:
                 seq = self._seq(creator)
@@ -236,56 +206,29 @@ class VcausalProtocol(VProtocol):
                 f = sget(creator, 0)
                 if f > seq.pruned_upto:
                     seq.pruned_upto = f
-            d = events[i]
-            first = d.clock
-            run_added = 0
-            if j - i == 1:
-                # single-event run (the majority): inline the classify +
-                # merge without the run machinery or a one-element slice
+            count = last - first + 1
+            # a run above everything held and stable needs no classifying
+            split = (
+                0
+                if first > seq.max_clock and first > seq.pruned_upto
+                else seq.new_run_offset(first, last, count)
+            )
+            if split is None:
+                # holes on one side: per-determinant fallback, which admits
+                # a missing clock below max_clock only when it is unstable
+                acc_fallback += count
                 maxc = seq.max_clock
-                if first <= seq.pruned_upto:
-                    acc_runs += 1  # stable duplicate
-                elif first > maxc:
-                    clocks = seq._clocks
-                    if clocks and first != maxc + 1:
-                        seq._contiguous = False
-                    clocks.append(first)
-                    seq._dets.append(d)
-                    seq.max_clock = first
-                    run_added = 1
-                    acc_runs += 1
-                elif seq._contiguous and seq._clocks[seq._offset] <= first:
-                    acc_runs += 1  # inside the held window
-                else:
-                    # hole below max_clock: per-determinant fallback
-                    acc_fallback += 1
-                    if first > sget(creator, 0) and not seq.holds(first):
-                        run_added = seq.merge([d])
-                last = first
+                stable = sget(creator, 0)
+                run_added = seq.merge(
+                    [backing[k - 1] for k in range(first, last + 1) if k > maxc or k > stable]
+                )
             else:
-                last = events[j - 1].clock
-                split = seq.new_run_offset(first, last, j - i)
-                if split is None:
-                    # unclassifiable run: per-determinant fallback (holes /
-                    # partial news)
-                    acc_fallback += j - i
-                    floor = seq.pruned_upto
-                    for k in range(i, j):
-                        d = events[k]
-                        clock = d.clock
-                        if clock <= floor:
-                            continue  # stable and pruned: never re-admit
-                        if clock > seq.max_clock:
-                            seq.append(d)
-                            run_added += 1
-                        elif clock > sget(creator, 0) and not seq.holds(clock):
-                            run_added += seq.merge([d])
-                else:
-                    acc_runs += 1
-                    if split < j - i:
-                        # everything before the split is a duplicate; the
-                        # rest batch-appends
-                        run_added = seq.extend_monotonic(events[i + split : j])
+                acc_runs += 1
+                run_added = (
+                    seq.extend_monotonic(first + split, last, backing)
+                    if split < count
+                    else 0
+                )
             if run_added:
                 added += run_added
                 mark_grown(creator)
@@ -297,10 +240,10 @@ class VcausalProtocol(VProtocol):
         if dep > bget(src, 0):
             bound[src] = dep
         self._held += added
-        n = len(pb.events)
-        # sparse mode: one bound entry touched per merged run plus src's own
+        n = pb.n_events
+        # sparse mode: one bound entry touched per creator group plus src's
         cost = (
-            self._pb_recv_scan_cost(len(runs) + 1)
+            self._pb_recv_scan_cost(pb.n_groups + 1)
             + n * self.config.cost_deserialize_event_s
         )
         probes.pb_accept_runs += acc_runs
@@ -337,65 +280,17 @@ class VcausalProtocol(VProtocol):
             self._ack_pos = stable_vector.upto
             if moved:
                 v.update(moved)
-                if live:
-                    # walk the smaller side of the (moved ∩ live) join; the
-                    # loop body is written out on both sides on purpose —
-                    # this runs once per ack and a shared helper or a
-                    # materialised join measurably slows the ack fold
-                    dead: list[int] = []
-                    if len(live) <= len(moved):
-                        mget = moved.get
-                        for c, seq in live.items():
-                            k = mget(c)
-                            if k is None:
-                                continue
-                            clocks = seq._clocks
-                            off = seq._offset
-                            n = len(clocks)
-                            if off < n and clocks[off] <= k:
-                                if k >= clocks[-1]:
-                                    # inline full-window clear — the
-                                    # steady-ack common shape of
-                                    # EventSequence.prune_upto
-                                    dropped += n - off
-                                    clocks.clear()
-                                    seq._dets.clear()
-                                    seq._offset = 0
-                                    seq._contiguous = True
-                                    seq.max_clock = 0
-                                    if k > seq.pruned_upto:
-                                        seq.pruned_upto = k
-                                    dead.append(c)
-                                else:
-                                    dropped += seq.prune_upto(k)
-                            elif k > seq.pruned_upto:
-                                seq.pruned_upto = k
-                    else:
-                        lget = live.get
-                        for c, k in moved.items():
-                            seq = lget(c)
-                            if seq is None:
-                                continue
-                            clocks = seq._clocks
-                            off = seq._offset
-                            n = len(clocks)
-                            if off < n and clocks[off] <= k:
-                                if k >= clocks[-1]:
-                                    dropped += n - off
-                                    clocks.clear()
-                                    seq._dets.clear()
-                                    seq._offset = 0
-                                    seq._contiguous = True
-                                    seq.max_clock = 0
-                                    if k > seq.pruned_upto:
-                                        seq.pruned_upto = k
-                                    dead.append(c)
-                                else:
-                                    dropped += seq.prune_upto(k)
-                            elif k > seq.pruned_upto:
-                                seq.pruned_upto = k
-                    for c in dead:
-                        del live[c]
+                # walk the smaller side of the (moved ∩ live) join
+                if len(live) <= len(moved):
+                    mget = moved.get
+                    hits = [(s, k) for c, s in live.items() if (k := mget(c)) is not None]
+                else:
+                    lget = live.get
+                    hits = [(s, k) for c, k in moved.items() if (s := lget(c)) is not None]
+                for seq, k in hits:
+                    dropped += seq.prune_upto(k)
+                    if not seq.max_clock:
+                        del live[seq.creator]
             if self._fresh_prune:
                 dropped += self._refloor_fresh()
             self._held -= dropped
@@ -415,14 +310,9 @@ class VcausalProtocol(VProtocol):
                 v[c] = k
                 seq = seqs_get(c)
                 if seq is not None:
-                    clocks = seq._clocks
-                    off = seq._offset
-                    if off < len(clocks) and clocks[off] <= k:
-                        dropped += seq.prune_upto(k)
-                        if seq._offset >= len(seq._clocks):
-                            live.pop(c, None)
-                    elif k > seq.pruned_upto:
-                        seq.pruned_upto = k
+                    dropped += seq.prune_upto(k)
+                    if not seq.max_clock:
+                        live.pop(c, None)
         if self._fresh_prune:
             dropped += self._refloor_fresh()
         self._held -= dropped
@@ -447,7 +337,7 @@ class VcausalProtocol(VProtocol):
         for c in self._fresh_prune:
             seq = seqs[c]
             dropped += seq.prune_upto(vget(c, 0))
-            if seq._offset >= len(seq._clocks):
+            if not seq.max_clock:
                 live.pop(c, None)
         self._fresh_prune = []
         self._fresh_set.clear()
@@ -489,7 +379,7 @@ class VcausalProtocol(VProtocol):
 
     def restore_state(self, state: dict[str, Any]) -> None:
         self.seqs = {
-            creator: EventSequence.from_state(creator, s)
+            creator: EventSequence.from_state(creator, s, self.store)
             for creator, s in state["seqs"].items()
         }
         self._held = self.scan_events_held()

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.distributed_el import EventLoggerGroup, shard_host
+from repro.core.events import DeterminantStore
 from repro.metrics.probes import ClusterProbes
 from repro.mpi.api import MpiContext
 from repro.runtime.checkpoint_server import CKPT_HOST, CheckpointServer
@@ -111,6 +112,9 @@ class Cluster:
         )
 
         self.probes = ClusterProbes()
+        #: every determinant created in this run, interned once: the
+        #: protocols' windows and piggyback runs read from it
+        self.determinants = DeterminantStore()
         self.event_logger: Optional[EventLoggerGroup] = (
             EventLoggerGroup(
                 self.sim,

@@ -110,7 +110,7 @@ class Vdaemon:
         self.host = cluster.host_of(rank)
 
         self.protocol: VProtocol = make_protocol(
-            spec.protocol, rank, cluster.nprocs, config, probes
+            spec.protocol, rank, cluster.nprocs, config, probes, cluster.determinants
         )
         self.protocol.bind(self)
         self.sender_log = SenderLog(rank)
@@ -230,8 +230,12 @@ class Vdaemon:
         determinants are by definition still held (unpruned) here, so the
         suffix is rebuilt from the protocol's own causal structures and
         re-posted as one ordinary log message (duplicates are discarded
-        by the EL store)."""
-        if not self.alive or self.el_log_send is None:
+        by the EL store).  A dead creator cannot answer: the group marks
+        it, and its recovery merges what its peers hold into the EL reply."""
+        if self.el_log_send is None:
+            return
+        if not self.alive:
+            self.cluster.event_logger.relog_missed.add(self.rank)
             return
         dets = tuple(
             d
@@ -398,7 +402,12 @@ class Vdaemon:
         self._pending_event_replies.clear()
         self._ckpt_pending = None
         self.protocol = make_protocol(
-            self.spec.protocol, self.rank, self.cluster.nprocs, self.config, self.probes
+            self.spec.protocol,
+            self.rank,
+            self.cluster.nprocs,
+            self.config,
+            self.probes,
+            self.cluster.determinants,
         )
         self.protocol.bind(self)
         self.sender_log = SenderLog(self.rank)
@@ -442,12 +451,13 @@ class Vdaemon:
         # ---- phase 1: collect the determinants to replay ---------------
         t0 = self.sim.now
         dets: list[Determinant] = []
-        if self.spec.event_logger and cluster.event_logger is not None:
+        group = cluster.event_logger
+        if self.spec.event_logger and group is not None:
             fut = Future(self.sim, f"el-fetch@{self.rank}")
             if cluster.retry_policy.enabled:
                 self._el_fetch_with_retry(fut)
             else:
-                cluster.event_logger.shard_for(self.rank).fetch_events(
+                group.shard_for(self.rank).fetch_events(
                     self.rank, self.last_ckpt_clock, fut.resolve, self.host
                 )
             dets = list((yield fut))
@@ -457,44 +467,23 @@ class Vdaemon:
                 yield merge
             record.event_sources = 1
             record.collection_bytes = len(dets) * cfg.event_record_bytes
+            if self.rank in group.relog_missed:
+                # a failover re-log found this rank dead: the suffix the
+                # dead shard never acked survives only at peers
+                dets += yield from self._collect_from_peers(record)
         elif self.is_logging:
-            futures: dict[int, Future] = {}
-            for peer in range(cluster.nprocs):
-                if peer == self.rank or not cluster.daemons[peer].alive:
-                    continue
-                fut = Future(self.sim, f"event-reply@{self.rank}<-{peer}")
-                futures[peer] = fut
-                self._pending_event_replies[peer] = fut
-                msg = WireMessage(
-                    kind="ctl_event_request",
-                    src=self.rank,
-                    dst=peer,
-                    epoch=cluster.epoch,
-                    meta={"clock_after": self.last_ckpt_clock},
-                )
-                self._wire_to(peer, cfg.recovery_request_bytes, msg)
-            merged: dict[int, Determinant] = {}
-            for peer, fut in futures.items():
-                reply = yield fut
-                self._pending_event_replies.pop(peer, None)
-                # every peer returns its whole view of our history, so the
-                # recovering node merges (n-1)× duplicated volume — the
-                # paper's "reclaiming all events from all other nodes"
-                merge = len(reply) * cfg.cost_deserialize_event_s
-                if merge > 0:
-                    yield merge
-                for det in reply:
-                    merged[det.clock] = det
-                record.collection_bytes += len(reply) * cfg.event_record_bytes
-            dets = [merged[c] for c in sorted(merged)]
-            record.event_sources = len(futures)
+            dets = yield from self._collect_from_peers(record)
+        # a clock both the EL and the peers returned keeps the EL's copy
+        by_clock: dict[int, Determinant] = {}
+        for det in dets:
+            by_clock.setdefault(det.clock, det)
         record.event_collection_s = self.sim.now - t0
-        record.events_collected = len(dets)
+        record.events_collected = len(by_clock)
 
         # keep only a contiguous replayable prefix above the checkpoint
         replay: list[Determinant] = []
         expected = self.last_ckpt_clock + 1
-        for det in sorted({d.clock: d for d in dets}.values(), key=lambda d: d.clock):
+        for det in sorted(by_clock.values(), key=lambda d: d.clock):
             if det.clock == expected:
                 replay.append(det)
                 expected += 1
@@ -519,6 +508,42 @@ class Vdaemon:
             self._pump_replay()  # payloads may have arrived while collecting
         else:
             self._finish_replay()
+
+    def _collect_from_peers(self, record: RecoveryRecord):
+        """Generator: every alive peer's held determinants of this rank
+        above the checkpoint, merged by clock (the no-EL collection)."""
+        cfg = self.config
+        cluster = self.cluster
+        futures: dict[int, Future] = {}
+        for peer in range(cluster.nprocs):
+            if peer == self.rank or not cluster.daemons[peer].alive:
+                continue
+            fut = Future(self.sim, f"event-reply@{self.rank}<-{peer}")
+            futures[peer] = fut
+            self._pending_event_replies[peer] = fut
+            msg = WireMessage(
+                kind="ctl_event_request",
+                src=self.rank,
+                dst=peer,
+                epoch=cluster.epoch,
+                meta={"clock_after": self.last_ckpt_clock},
+            )
+            self._wire_to(peer, cfg.recovery_request_bytes, msg)
+        merged: dict[int, Determinant] = {}
+        for peer, fut in futures.items():
+            reply = yield fut
+            self._pending_event_replies.pop(peer, None)
+            # every peer returns its whole view of our history, so the
+            # recovering node merges (n-1)× duplicated volume — the
+            # paper's "reclaiming all events from all other nodes"
+            merge = len(reply) * cfg.cost_deserialize_event_s
+            if merge > 0:
+                yield merge
+            for det in reply:
+                merged[det.clock] = det
+            record.collection_bytes += len(reply) * cfg.event_record_bytes
+        record.event_sources += len(futures)
+        return [merged[c] for c in sorted(merged)]
 
     def _el_fetch_with_retry(self, fut: Future) -> None:
         """Determinant fetch with timeout/retry: a fetch sent into a dead
@@ -646,6 +671,7 @@ class Vdaemon:
         self.clock = det.clock
         self.probes.receptions = self.clock
         self.probes.replayed_receptions += 1
+        self.cluster.determinants.record(det)
         self.protocol.on_local_event(det)
         if self.el_log_send is not None:
             # duplicate posts are discarded by the EL
@@ -660,6 +686,9 @@ class Vdaemon:
         if not self.in_replay and not self._replay_buffer:
             return
         self.in_replay = False
+        if self.cluster.event_logger is not None:
+            # the replay re-logged the suffix peers had to supply
+            self.cluster.event_logger.relog_missed.discard(self.rank)
         if self.current_recovery is not None:
             self.current_recovery.replay_end_time = self.sim.now
         # messages that were not part of the replayed history become fresh

@@ -79,6 +79,7 @@ def _compile_reception(
     last_ssn = d.last_ssn
     last_ssn_get = last_ssn.get
     post = sim.post
+    record = cluster.determinants.record
 
     # simlint: hot
     def on_wire(msg: WireMessage) -> None:
@@ -113,6 +114,7 @@ def _compile_reception(
             det = Determinant(
                 creator=rank, clock=clock, sender=src, ssn=ssn, dep=msg.dep
             )
+            record(det)
             protocol.on_local_event(det)
             if el_log_send is not None:
                 probes.el_events_logged += 1

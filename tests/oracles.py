@@ -1,13 +1,24 @@
 """Reference implementations the property tests compare ``src/`` against.
 
-:func:`full_scan` is a causal protocol whose piggyback build scans every
-held sequence instead of the dirty-creator worklist;
-``tests/test_worklist_properties.py`` checks the worklist against it.  It
-is not reachable from a :class:`~repro.runtime.config.ClusterConfig`: a
-test oracle, kept as small and as obviously right as possible.
+* :func:`full_scan` is a causal protocol whose piggyback build scans every
+  held sequence instead of the dirty-creator worklist;
+  ``tests/test_worklist_properties.py`` checks the worklist against it.
+* :class:`ListEventSequence` is the list form of
+  :class:`~repro.core.events.EventSequence`: every held determinant copied
+  into a private clock-sorted list, no store, no spans.
+  ``tests/test_events.py`` runs random programs on both forms and checks
+  they agree.
+
+Neither is reachable from a :class:`~repro.runtime.config.ClusterConfig`:
+test oracles, kept as small and as obviously right as possible.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from typing import Any, Iterable, Iterator, Optional
+
+from repro.core.events import Determinant
 
 
 def full_scan(cls):
@@ -22,3 +33,157 @@ def full_scan(cls):
             return list(growth.by_index)
 
     return FullScan
+
+
+class ListEventSequence:
+    """Ordered, prunable list of one creator's determinants (the list form
+    the window form replaced; same public behaviour, O(held) memory per
+    holder).  ``_contiguous`` is exact: True iff the held clocks are
+    hole-free."""
+
+    def __init__(self, creator: int) -> None:
+        self.creator = creator
+        self._clocks: list[int] = []
+        self._dets: list[Determinant] = []
+        self._offset = 0
+        self.pruned_upto = 0
+        self._contiguous = True
+        self.max_clock = 0
+
+    def __len__(self) -> int:
+        return len(self._clocks) - self._offset
+
+    @property
+    def min_clock(self) -> Optional[int]:
+        return self._clocks[self._offset] if self._offset < len(self._clocks) else None
+
+    def __iter__(self) -> Iterator[Determinant]:
+        return iter(self._dets[self._offset :])
+
+    def get(self, clock: int) -> Optional[Determinant]:
+        i = bisect_right(self._clocks, clock, lo=self._offset) - 1
+        if i >= self._offset and self._clocks[i] == clock:
+            return self._dets[i]
+        return None
+
+    def holds(self, clock: int) -> bool:
+        return self.get(clock) is not None
+
+    def _holds_range(self, first: int, last: int) -> bool:
+        clocks = self._clocks
+        off = self._offset
+        if off >= len(clocks) or not self._contiguous:
+            return False
+        return clocks[off] <= first and last <= clocks[-1]
+
+    def new_run_offset(self, first: int, last: int, count: int) -> Optional[int]:
+        base = 0
+        floor = self.pruned_upto
+        if first <= floor:
+            if last <= floor:
+                return count
+            if last - first + 1 != count:
+                return None
+            base = floor - first + 1
+            first = floor + 1
+        maxc = self.max_clock
+        if first > maxc:
+            return base
+        if last - first + 1 == count - base and self._holds_range(
+            first, min(last, maxc)
+        ):
+            return count if last <= maxc else base + (maxc - first + 1)
+        return None
+
+    def append(self, det: Determinant) -> None:
+        if det.creator != self.creator:
+            raise ValueError(f"creator mismatch: {det.creator} != {self.creator}")
+        clocks = self._clocks
+        if len(self):
+            last = clocks[-1]
+            if det.clock <= last:
+                raise ValueError(f"non-monotonic append: clock {det.clock} <= {last}")
+            if det.clock != last + 1:
+                self._contiguous = False
+        clocks.append(det.clock)
+        self._dets.append(det)
+        self.max_clock = det.clock
+
+    def extend_monotonic(self, first: int, last: int, backing: list) -> int:
+        if last < first:
+            return 0
+        if len(self) and first <= self._clocks[-1]:
+            raise ValueError(f"non-monotonic append: clock {first} <= {self._clocks[-1]}")
+        for det in backing[first - 1 : last]:
+            self.append(det)
+        return last - first + 1
+
+    def merge(self, dets: Iterable[Determinant]) -> int:
+        added = 0
+        pending: list[Determinant] = []
+        for det in dets:
+            if det.creator != self.creator:
+                raise ValueError("creator mismatch in merge")
+            if det.clock <= self.pruned_upto:
+                continue
+            if len(self) and det.clock <= self._clocks[-1]:
+                if self.get(det.clock) is None:
+                    pending.append(det)
+                continue
+            self.append(det)
+            added += 1
+        if pending:
+            merged = {d.clock: d for d in self._dets[self._offset :]}
+            for det in pending:
+                if det.clock not in merged:
+                    merged[det.clock] = det
+                    added += 1
+            items = sorted(merged.items())
+            self._clocks = [c for c, _ in items]
+            self._dets = [d for _, d in items]
+            self._offset = 0
+            self._contiguous = items[-1][0] - items[0][0] + 1 == len(items)
+            self.max_clock = items[-1][0]
+        return added
+
+    def index_window(self, bound: int, upto: int) -> tuple[list, int, int]:
+        lo = bisect_right(self._clocks, bound, lo=self._offset)
+        hi = bisect_right(self._clocks, upto, lo=lo)
+        return self._dets, lo, hi
+
+    def clocks_upto(self, bound: int) -> list[int]:
+        hi = bisect_right(self._clocks, bound, lo=self._offset)
+        return self._clocks[self._offset : hi]
+
+    def prune_upto(self, clock: int) -> int:
+        if clock > self.pruned_upto:
+            self.pruned_upto = clock
+        clocks = self._clocks
+        off = self._offset
+        n = len(clocks)
+        if off >= n or clock < clocks[off]:
+            return 0
+        if clock >= clocks[-1]:
+            floor = self.pruned_upto
+            self.__init__(self.creator)  # type: ignore[misc]
+            self.pruned_upto = floor
+            return n - off
+        i = bisect_right(clocks, clock, lo=off)
+        self._offset = i
+        self._contiguous = clocks[-1] - clocks[i] + 1 == n - i
+        return i - off
+
+    def export_state(self) -> dict[str, Any]:
+        return {"dets": list(self), "pruned_upto": self.pruned_upto}
+
+    @classmethod
+    def from_state(cls, creator: int, state: Any) -> "ListEventSequence":
+        seq = cls(creator)
+        if isinstance(state, dict):
+            seq.pruned_upto = state["pruned_upto"]
+            dets = state["dets"]
+        else:
+            dets = state
+        for det in dets:
+            seq.append(det)
+        return seq

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core.antecedence import AntecedenceGraph
 from repro.core.bounds import BoundVector
 from repro.core.events import Determinant, StableVector
+from repro.core.piggyback import run_events
 
 
 def build_chain_world():
@@ -71,10 +72,12 @@ def test_select_unknown_respects_bounds():
     g = build_chain_world()
     stable = StableVector(3)
     known = BoundVector([1, 0, 0])
-    events, _, runs = g.select_unknown(known, stable)
+    runs, backings, n, groups = g.select_unknown(known, stable)
+    events = run_events(runs, backings)
     assert {(d.creator, d.clock) for d in events} == {(0, 2), (1, 1), (2, 1)}
-    # one (creator, start, stop) run per contributing creator
-    assert runs == [(0, 0, 1), (1, 1, 2), (2, 2, 3)]
+    # one (creator, first, last) run per contributing creator
+    assert runs == [(0, 2, 2), (1, 1, 1), (2, 1, 1)]
+    assert (n, groups) == (3, 3)
     # known was raised in place over everything selected
     assert known.as_list(3) == [2, 1, 1]
 
@@ -84,7 +87,8 @@ def test_select_unknown_respects_stable():
     stable = StableVector(3)
     stable.advance(0, 2)
     stable.advance(1, 1)
-    events, _, _ = g.select_unknown(BoundVector(), stable)
+    runs, backings, _, _ = g.select_unknown(BoundVector(), stable)
+    events = run_events(runs, backings)
     assert {(d.creator, d.clock) for d in events} == {(2, 1)}
 
 
@@ -108,7 +112,8 @@ def test_prune_makes_knowledge_conservative_not_wrong():
     g.raise_knowledge((0, 2), known)
     # the traversal can no longer reach a (pruned), but a is stable so it
     # is excluded from piggybacks anyway
-    events, _, _ = g.select_unknown(known, stable)
+    runs, backings, _, _ = g.select_unknown(known, stable)
+    events = run_events(runs, backings)
     assert (0, 1) not in {(d.creator, d.clock) for d in events}
 
 

@@ -370,6 +370,15 @@ def test_el_shard_crash_then_rank_kill_recovers_from_survivor(baseline):
     assert result.results == baseline
     assert result.probes.el_failovers == 1
     assert len(result.probes.recoveries) == 1
+    # the re-log request reached rank 0 while it was dead, so the unacked
+    # suffix (clocks 40-57) lived only at its peers: recovery must collect
+    # it from them, or rank 0 re-creates those clocks differently and the
+    # peers holding the originals become orphans
+    (rec,) = result.probes.recoveries
+    assert rec.events_collected >= 57
+    store = result.cluster.determinants
+    assert store.recreated_forked == 0
+    assert store.recreated_equal == result.probes.total("replayed_receptions")
 
 
 def test_el_shard_crash_without_failover_strands_the_range():

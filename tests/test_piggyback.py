@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from repro.core.events import Determinant
 from repro.core.piggyback import (
     Piggyback,
-    count_creator_runs,
-    creator_runs,
     factored_bytes,
     factored_bytes_from_counts,
     flat_bytes,
-    group_by_creator,
+    run_events,
 )
 from repro.runtime.config import ClusterConfig
 
@@ -58,18 +56,14 @@ def test_flat_is_larger_for_same_events_when_grouped():
     assert flat_bytes(events, CFG) > factored_bytes(events, CFG)
 
 
-def test_group_by_creator_runs():
-    events = [det(0, 1), det(0, 2), det(3, 1), det(0, 3)]
-    groups = group_by_creator(events)
-    assert [(c, len(g)) for c, g in groups] == [(0, 2), (3, 1), (0, 1)]
-
-
 def test_piggyback_dataclass_defaults():
     pb = Piggyback()
     assert pb.n_events == 0
     assert pb.nbytes == 0
     assert pb.build_cost_s == 0.0
-    assert pb.runs == ()
+    assert pb.runs == () and pb.backings == ()
+    assert pb.n_groups == 0
+    assert pb.events == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -79,18 +73,29 @@ def test_piggyback_dataclass_defaults():
     )
 )
 def test_run_counting_shared_across_helpers(pairs):
-    """count_creator_runs, creator_runs and group_by_creator must agree —
-    one run definition, three views of it."""
+    """A piggyback's clock-range runs, its derived event list and the
+    byte accounting agree: the runs cover exactly the events, and the
+    factored size from the kept counts equals a re-scan of the events."""
     events = [det(c, k) for c, k in pairs]
-    runs = creator_runs(events)
-    groups = group_by_creator(events)
-    assert len(runs) == count_creator_runs(events) == len(groups)
-    assert [c for c, _, _ in runs] == [c for c, _ in groups]
-    for (creator, start, stop), (gc, group) in zip(runs, groups):
-        assert list(events[start:stop]) == group
-    # and the byte accounting is definable from either view
+    backing = {}
+    for d in events:
+        b = backing.setdefault(d.creator, [None] * 50)
+        b[d.clock - 1] = d
+    runs = []
+    groups = 0
+    for i, d in enumerate(events):
+        prev = events[i - 1] if i else None
+        if prev is None or prev.creator != d.creator:
+            groups += 1
+        elif prev.clock + 1 == d.clock:
+            runs[-1] = (d.creator, runs[-1][1], d.clock)
+            continue
+        runs.append((d.creator, d.clock, d.clock))
+    backings = tuple(backing[c] for c, _first, _last in runs)
+    pb = Piggyback(tuple(runs), backings, len(events), groups)
+    assert pb.events == tuple(events) and run_events(runs, backings) == events
     assert factored_bytes(events, CFG) == factored_bytes_from_counts(
-        len(events), len(runs), CFG
+        pb.n_events, pb.n_groups, CFG
     )
 
 

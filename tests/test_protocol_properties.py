@@ -224,10 +224,12 @@ def test_held_counter_matches_scan(cls, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_piggyback_run_table_consistent(cls, data):
-    """The precomputed (creator, start, stop) run table on factored
-    piggybacks must agree with a re-scan of the event list, and the byte
-    accounting with the shared run counting."""
-    from repro.core.piggyback import count_creator_runs, creator_runs, factored_bytes
+    """The clock-range runs of factored piggybacks cover clock-contiguous
+    stretches of one creator each, their counts agree with the derived
+    event list, and the byte accounting with a re-scan of it."""
+    from itertools import groupby
+
+    from repro.core.piggyback import factored_bytes
 
     n = data.draw(st.integers(2, 4), label="nprocs")
     world = MiniWorld(cls, n)
@@ -236,9 +238,15 @@ def test_piggyback_run_table_consistent(cls, data):
         src = data.draw(st.integers(0, n - 1))
         dst = data.draw(st.integers(0, n - 1).filter(lambda r: r != src))
         pb = world.send(src, dst)
-        assert list(pb.runs) == creator_runs(pb.events)
-        assert len(pb.runs) == count_creator_runs(pb.events)
-        assert pb.nbytes == factored_bytes(pb.events, CFG)
+        events = pb.events
+        assert len(pb.backings) == len(pb.runs)
+        for (creator, first, last), backing in zip(pb.runs, pb.backings):
+            assert [(d.creator, d.clock) for d in backing[first - 1 : last]] == [
+                (creator, k) for k in range(first, last + 1)
+            ]
+        assert pb.n_events == len(events)
+        assert pb.n_groups == sum(1 for _ in groupby(d.creator for d in events))
+        assert pb.nbytes == factored_bytes(events, CFG)
 
 
 @pytest.mark.parametrize("cls", PROTOCOLS)
@@ -366,12 +374,14 @@ def test_restore_does_not_resurrect_pruned_events(cls):
         Determinant(0, 1, 2, 1, 0),
         Determinant(0, 2, 1, 1, 0),
     ]
-    from repro.core.piggyback import Piggyback, creator_runs, factored_bytes
+    from repro.core.piggyback import Piggyback, factored_bytes
 
     pb = Piggyback(
-        events=tuple(stale),
+        runs=((0, 1, 2),),
+        backings=(stale,),
+        n_events=2,
+        n_groups=1,
         nbytes=factored_bytes(stale, CFG),
-        runs=tuple(creator_runs(stale)),
     )
     fresh.accept_piggyback(0, pb, 0)
     assert fresh.events_held() == fresh.scan_events_held()

@@ -244,6 +244,45 @@ def test_engine_internals_stay_private():
     assert hits == {}
 
 
+def _sequence_private_uses(source: str, private: frozenset[str]) -> list[tuple[int, str]]:
+    """``(line, attr)`` of every ``<obj>._attr`` read with ``_attr`` one of
+    ``private`` (a name shared with another class's attribute counts too:
+    the rule is by name, so the private names stay distinctive)."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    )
+
+
+def test_sequence_internals_stay_private():
+    """Only ``core/events.py`` touches the underscore attributes of an
+    ``EventSequence`` window or of the ``DeterminantStore``: protocols
+    build, accept and fold acks through the window's methods, so the
+    window's representation can change without reading its callers."""
+    from repro.core import events
+
+    private = frozenset(
+        name
+        for cls in (events.EventSequence, getattr(events, "DeterminantStore", None))
+        for name in getattr(cls, "__slots__", ())
+        if name.startswith("_")
+    )
+    probe = "n = seq._x\nseq.max_clock\nb = store._y[c]\n"
+    assert _sequence_private_uses(probe, frozenset({"_x", "_y"})) == [
+        (1, "_x"),
+        (3, "_y"),
+    ]
+    src = REPO_ROOT / "src" / "repro"
+    hits = {
+        path.relative_to(src).as_posix(): uses
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "core" / "events.py"
+        and (uses := _sequence_private_uses(path.read_text(), private))
+    }
+    assert hits == {}
+
+
 def test_simlint_cli_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "tools.simlint", "src", "tools"],

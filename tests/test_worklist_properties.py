@@ -215,9 +215,12 @@ def test_logon_accept_consumes_runs_not_determinants():
         assert proto.probes.pb_accept_fallback_dets == 0
     # and the run table itself must ride on every LogOn piggyback
     pb = world.send(0, 2)
-    from repro.core.piggyback import creator_runs, flat_bytes
+    from itertools import groupby
 
-    assert list(pb.runs) == creator_runs(pb.events)
+    from repro.core.piggyback import flat_bytes
+
+    assert pb.runs and pb.n_events == len(pb.events)
+    assert pb.n_groups == sum(1 for _ in groupby(d.creator for d in pb.events))
     assert pb.nbytes == flat_bytes(pb.events, CFG)  # wire unchanged
 
 
