@@ -27,6 +27,8 @@ global view stays empty, so its acks carry exactly its stable clocks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from repro.core.bounds import BoundVector
@@ -40,32 +42,28 @@ from repro.simulator.network import Network
 EL_HOST = "el"
 
 
-class ElAck(BoundVector):
-    """A stable-vector ack that also carries its logger's advance journal.
+class ElAck:
+    """A journal-valid logger's ack: a handle, not a copy of its vector.
 
-    Behaves exactly like the :class:`BoundVector` snapshot it wraps (all
-    protocols consume it through ``items()``), plus three fields that let
-    a receiver which has folded ``src``'s acks *exclusively* replace the
-    full-vector rescan with the journal slice ``log[pos:upto]`` — the
-    entries that actually moved since the ack it last processed.  Acks
-    from one logger to one daemon are served and delivered FIFO, so
-    ``upto`` is monotone per receiver and the slice fold is exact.
+    ``log[:upto]`` is the logger's ``(creator, clock)`` stable-advance
+    journal at serve time; each creator's entries rise, so folding it
+    (last wins) is the full stable vector the wire is charged for
+    (:meth:`snapshot`).  ``VProtocol.on_el_ack`` folds only the slice
+    past the position a process has consumed.
     """
 
     __slots__ = ("src", "log", "upto")
 
     def __init__(
-        self,
-        vector: BoundVector,
-        src: "EventLogger",
-        log: list[tuple[int, int]],
-        upto: int,
+        self, src: "EventLogger", log: list[tuple[int, int]], upto: int
     ) -> None:
-        # adopt the fresh per-ack snapshot dict (no extra copy)
-        self.data = vector.data
         self.src = src
         self.log = log
         self.upto = upto
+
+    def snapshot(self) -> dict[int, int]:
+        """The stable vector this ack stands for (nonzero entries)."""
+        return dict(self.log[: self.upto])
 
 
 class EventLogger:
@@ -112,13 +110,8 @@ class EventLogger:
         #: recomputed (a full copy + elementwise max) on every ack.
         self._merged = BoundVector()
         #: append-only journal of every (creator, clock) stable advance, in
-        #: advance order.  Acks from a journal-valid logger ship as
-        #: :class:`ElAck` carrying (journal, position): a receiver that has
-        #: folded this logger's acks exclusively knows its stable view
-        #: equals the journal prefix it has consumed, so the next ack only
-        #: has to fold the slice since its position — the moved entries —
-        #: instead of rescanning the whole vector (see
-        #: ``VcausalProtocol.on_el_ack``).  One tuple per stored
+        #: advance order: what an :class:`ElAck` hands out instead of a
+        #: copy of the merged view.  At most one entry per stored
         #: determinant, i.e. no larger than ``store`` itself.
         self._ack_log: list[tuple[int, int]] = []
         #: False when the ack vector can advance other than by this
@@ -164,13 +157,14 @@ class EventLogger:
         self,
         src_rank: int,
         dets: tuple[Determinant, ...],
-        ack_to: Callable[[list[int]], None],
+        ack_to: Callable[[ElAck | BoundVector], None],
         ack_host: str,
     ) -> None:
         """Handle one asynchronous log message from ``src_rank``.
 
         ``ack_to`` is invoked at the source daemon when the ack message is
-        delivered; it receives the stable vector snapshot taken at ack time.
+        delivered; it receives the ack: an :class:`ElAck` handle, or a
+        merged-view snapshot from a logger whose journal is not valid.
         """
         if not self.alive:
             self.probes.el_posts_dropped += 1
@@ -186,7 +180,7 @@ class EventLogger:
         self,
         src_rank: int,
         dets: tuple[Determinant, ...],
-        ack_to: Callable[[list[int]], None],
+        ack_to: Callable[[ElAck | BoundVector], None],
         ack_host: str,
     ) -> None:
         self._queued -= 1
@@ -195,38 +189,47 @@ class EventLogger:
         for det in dets:
             self._store(det)
         self.probes.el_determinants_stored += len(dets)
-        # ack with the full merged vector, after a small batching delay
-        vector = self.merged_view()
-        ack_bytes = self.config.el_ack_wire_bytes + self.ack_vector_bytes(vector)
-        if self._ack_fast:
-            # same snapshot + the journal handle; wire bytes are unchanged
-            # (the journal is receiver-side bookkeeping, not wire payload)
-            vector = ElAck(vector, self, self._ack_log, len(self._ack_log))
+        # ack with the full merged vector (a journal handle when the journal
+        # is valid: no per-ack copy), after a small batching delay
+        ack_bytes = self.config.el_ack_wire_bytes + self.ack_vector_bytes(self._merged)
+        ack = ElAck(self, self._ack_log, len(self._ack_log)) if self._ack_fast else self.merged_view()
         self.network.transfer(
             self.host,
             ack_host,
             ack_bytes,
             ack_to,
             extra_latency=self.config.el_ack_delay_s,
-            args=(vector,),
+            args=(ack,),
         )
 
     def _store(self, det: Determinant) -> None:
-        lst = self.store[det.creator]
-        if lst and det.clock <= lst[-1].clock:
-            return  # duplicate from a replayed re-execution
-        lst.append(det)
+        creator, clock = det.creator, det.clock
+        lst = self.store[creator]
+        if not lst or clock > lst[-1].clock:
+            lst.append(det)
+            nxt = len(lst)
+        else:
+            # a duplicate (replay, re-log) or a hole-filler (a failover's
+            # disk records land behind the direct logs the new owner took)
+            at = bisect_left(lst, clock, key=attrgetter("clock"))
+            if lst[at].clock == clock:
+                return
+            lst.insert(at, det)
+            nxt = at + 1
         stable = self.stable_clock.data
-        if det.clock == stable.get(det.creator, 0) + 1:
-            # advance over any contiguous run already buffered
-            stable[det.creator] = det.clock
-            if self._ack_fast:
-                self._ack_log.append((det.creator, det.clock))
-            merged = self._merged.data
-            if det.clock > merged.get(det.creator, 0):
-                merged[det.creator] = det.clock
-        # else a hole (lost in-flight log before a crash): keep the record,
-        # but stability stays at the contiguous prefix
+        if clock != stable.get(creator, 0) + 1:
+            return  # a hole stays open: stability stays at the contiguous prefix
+        # advance over any contiguous run already buffered past the hole
+        top = clock
+        while nxt < len(lst) and lst[nxt].clock == top + 1:
+            top += 1
+            nxt += 1
+        stable[creator] = top
+        if self._ack_fast:
+            self._ack_log.append((creator, top))
+        merged = self._merged.data
+        if top > merged.get(creator, 0):
+            merged[creator] = top
 
     # ------------------------------------------------------------------ #
     # shard-to-shard view exchange
@@ -292,10 +295,9 @@ class EventLogger:
         """Bulk-load determinants streamed off a dead peer's disk.
 
         Charged like one bulk fetch per batch (a single scan-and-append
-        pass); returns the number of records ingested.  Creators are
-        processed in rank order and each creator's records arrive
-        clock-ordered, so the contiguous-stability bookkeeping of
-        :meth:`_store` applies unchanged.
+        pass); returns the number of records ingested.  Records land by
+        clock behind whatever this logger already stored for the creator
+        (:meth:`_store`), so stability advances over the filled holes.
         """
         n = 0
         for creator in sorted(records):

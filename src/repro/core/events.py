@@ -563,9 +563,9 @@ class StableVector:
         """Merge a stable vector (from an EL ack); True if any moved.
 
         Accepts the dense list form or any sparse mapping of nonzero
-        entries (``BoundVector``/dict) — EL acks ship the sparse form.
-        (Vcausal does not route its acks through here: its fused
-        ``on_el_ack`` merges and prunes in one pass over the vector.)
+        entries (``BoundVector``/dict): ack snapshots and journal slices.
+        (Vcausal keeps a sparse view instead: its fold steps merge and
+        prune in one pass.)
         """
         v = self._v
         moved = False

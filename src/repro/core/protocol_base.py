@@ -18,7 +18,8 @@ Fault-free path (called by :class:`repro.runtime.daemon.Vdaemon`):
   (the daemon assigned the rsn).
 * :meth:`accept_piggyback` — piggybacked events arrived with a message;
   returns the simulated cost of merging them.
-* :meth:`on_el_ack` — a stable vector arrived from the Event Logger.
+* :meth:`on_el_ack` — an Event Logger ack (journal handle or stable
+  vector) arrived; one fold path for every protocol.
 
 Recovery path:
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.core.event_logger import ElAck, EventLogger
 from repro.core.events import (
     Determinant, DeterminantStore, GrowthLog, StableState, StableVector,
 )
@@ -47,6 +49,7 @@ class VProtocol:
     __slots__ = (
         "rank", "nprocs", "config", "probes", "daemon", "stable", "store",
         "_send_scan_dense", "_recv_scan_dense", "_chan_synced",
+        "_ack_src", "_ack_pos",
     )
 
     #: whether this protocol ships determinants to the Event Logger
@@ -96,6 +99,11 @@ class VProtocol:
         #: bound already covers their max clock), so the build loop skips
         #: them without touching their sequences.
         self._chan_synced: dict[int, int] = {}
+        #: the EventLogger whose ack journal this process has adopted
+        #: (None until an ack proves the stable view equals its snapshot)
+        #: and the journal position the view has folded (see on_el_ack)
+        self._ack_src: Optional[EventLogger] = None
+        self._ack_pos = 0
 
     def bind(self, daemon: DaemonHost) -> None:
         self.daemon = daemon
@@ -165,8 +173,44 @@ class VProtocol:
         """
         return 0.0
 
-    def on_el_ack(self, stable_vector: StableState) -> None:
-        self.stable.update(stable_vector)
+    def on_el_ack(self, ack: ElAck | StableState) -> None:
+        """Fold an Event Logger ack into the stable view.
+
+        Once the view equals the fold of a logger's journal up to
+        ``_ack_pos`` (the logger is *adopted*), every later entry raises
+        it and acks arrive FIFO, so an ack folds just the moved slice
+        ``log[_ack_pos:upto]``.  Any other handle (a fresh protocol
+        object's first; a restart restores into a fresh one, whose view
+        is at most the fold) max-merges its snapshot and adopts iff the
+        view then equals it.  A plain vector (a sharded group's ack, a
+        push) may raise the view past the journal: it drops adoption.
+        """
+        if type(ack) is ElAck:
+            if ack.src is self._ack_src and ack.upto >= self._ack_pos:
+                moved = dict(ack.log[self._ack_pos : ack.upto])
+                self._ack_pos = ack.upto
+                self._fold_raises(moved)
+                return
+            snapshot = ack.snapshot()
+            self._fold_vector(snapshot)
+            if self._stable_entries() == snapshot:
+                self._ack_src = ack.src
+                self._ack_pos = ack.upto
+                return
+        else:
+            self._fold_vector(ack)
+        self._ack_src = None
+
+    def _fold_vector(self, vector: StableState) -> None:
+        """Max-merge a stable vector (sparse mapping or dense list)."""
+        self.stable.update(vector)
+
+    #: fold journal entries that each raise the stable view
+    _fold_raises = _fold_vector
+
+    def _stable_entries(self) -> dict[int, int]:
+        """The nonzero entries of the stable view."""
+        return {c: k for c, k in enumerate(self.stable.view()) if k}
 
     # ------------------------------------------------------------------ #
     # introspection / recovery

@@ -32,7 +32,6 @@ from typing import Any, Optional
 from math import log2
 
 from repro.core.bounds import BoundVector
-from repro.core.event_logger import ElAck
 from repro.core.events import (
     Determinant, DeterminantStore, EventSequence, GrowthLog, StableState,
 )
@@ -54,8 +53,6 @@ class VcausalProtocol(VProtocol):
         "_sv",
         "_live",
         "_fresh_set",
-        "_ack_src",
-        "_ack_pos",
     )
 
     uses_event_logger = True
@@ -90,7 +87,7 @@ class VcausalProtocol(VProtocol):
         #: entries omitted.  This replaces reads of the dense
         #: ``self.stable`` list (which stays all-zero for this protocol):
         #: build/accept only probe a handful of creators per message, and
-        #: the journal fold below merges acks with one dict.update.
+        #: the journal fold merges acks with one dict.update.
         self._sv: dict[int, int] = {}
         #: creators whose sequence window is nonempty — the only
         #: sequences an ack can actually prune.  Kept in sync at every
@@ -100,11 +97,6 @@ class VcausalProtocol(VProtocol):
         #: freshening (a fresh floor stays at its creation value until
         #: the next ack re-floors it)
         self._fresh_set: set[int] = set()
-        #: the EventLogger whose ack journal we are folding exclusively,
-        #: and the journal position consumed so far.  None until the
-        #: first ack proves our view equals its snapshot.
-        self._ack_src: Any = None
-        self._ack_pos = 0
 
     # ------------------------------------------------------------------ #
 
@@ -253,79 +245,40 @@ class VcausalProtocol(VProtocol):
         probes.note_events_held(self._held)
         return cost
 
-    def on_el_ack(self, stable_vector: StableState) -> None:
-        # Merge + prune.  Only creators whose stable clock moved can have
-        # anything new to prune (every other sequence was already pruned
-        # to its unchanged clock).  The stable view is the sparse dict
-        # (monotone raises only); sequences created since the last ack
-        # are re-floored at the end even when their clock did not move.
-        #
-        # Once this process has adopted one EventLogger's acks, each ack
-        # is an :class:`ElAck` carrying the logger's advance journal, and
-        # the slice since our consumed position IS the moved set — so the
-        # merge is one dict.update and the prune loop walks only the
-        # nonempty sequences that actually moved, skipping the full
-        # vector rescan entirely.  The floor raise on *empty* windows is
-        # deferred (re-applied at the next touch in accept_piggyback and
-        # flushed in export_state).
-        v = self._sv
+    def _fold_raises(self, moved: dict[int, int]) -> None:
+        # VProtocol.on_el_ack's fold step.  Only creators whose stable
+        # clock moved can have anything new to prune, so merge with one
+        # dict.update and prune only the nonempty sequences that moved;
+        # the floor raise on *empty* windows is deferred (re-applied at
+        # the next touch in accept_piggyback and flushed in export_state).
+        # Sequences created since the last ack are re-floored even when
+        # their clock did not move.
         live = self._live
         dropped = 0
-        if (
-            type(stable_vector) is ElAck
-            and stable_vector.src is self._ack_src
-            and stable_vector.upto >= self._ack_pos
-        ):
-            moved = dict(stable_vector.log[self._ack_pos : stable_vector.upto])
-            self._ack_pos = stable_vector.upto
-            if moved:
-                v.update(moved)
-                # walk the smaller side of the (moved ∩ live) join
-                if len(live) <= len(moved):
-                    mget = moved.get
-                    hits = [(s, k) for c, s in live.items() if (k := mget(c)) is not None]
-                else:
-                    lget = live.get
-                    hits = [(s, k) for c, k in moved.items() if (s := lget(c)) is not None]
-                for seq, k in hits:
-                    dropped += seq.prune_upto(k)
-                    if not seq.max_clock:
-                        del live[seq.creator]
-            if self._fresh_prune:
-                dropped += self._refloor_fresh()
-            self._held -= dropped
-            return
-        # fallback: full-vector fold (first ack ever, plain snapshot
-        # pushes, logger failover / restore source switches), with
-        # live-set upkeep so the journal path stays valid afterwards
-        items = (
-            stable_vector.items()
-            if hasattr(stable_vector, "items")
-            else enumerate(stable_vector)
-        )
-        vget = v.get
-        seqs_get = self.seqs.get
-        for c, k in items:
-            if k > vget(c, 0):
-                v[c] = k
-                seq = seqs_get(c)
-                if seq is not None:
-                    dropped += seq.prune_upto(k)
-                    if not seq.max_clock:
-                        live.pop(c, None)
+        if moved:
+            self._sv.update(moved)
+            # walk the smaller side of the (moved ∩ live) join
+            if len(live) <= len(moved):
+                mget = moved.get
+                hits = [(s, k) for c, s in live.items() if (k := mget(c)) is not None]
+            else:
+                lget = live.get
+                hits = [(s, k) for c, k in moved.items() if (s := lget(c)) is not None]
+            for seq, k in hits:
+                dropped += seq.prune_upto(k)
+                if not seq.max_clock:
+                    del live[seq.creator]
         if self._fresh_prune:
             dropped += self._refloor_fresh()
         self._held -= dropped
-        # adopt the journal iff our merged view now equals the ack's
-        # snapshot exactly: from then on every entry this logger appends
-        # past `upto` is a genuine raise over our view, so folding the
-        # slice alone is exact.  Plain-vector acks (or a mismatch) drop
-        # any previous adoption.
-        if type(stable_vector) is ElAck and v == stable_vector.data:
-            self._ack_src = stable_vector.src
-            self._ack_pos = stable_vector.upto
-        else:
-            self._ack_src = None
+
+    def _fold_vector(self, vector: StableState) -> None:
+        vget = self._sv.get
+        items = vector.items() if hasattr(vector, "items") else enumerate(vector)
+        self._fold_raises({c: k for c, k in items if k > vget(c, 0)})
+
+    def _stable_entries(self) -> dict[int, int]:
+        return self._sv
 
     def _refloor_fresh(self) -> int:
         """Prune the sequences created since the last ack to their stable
@@ -403,8 +356,4 @@ class VcausalProtocol(VProtocol):
         # must still re-floor them against the restored stable vector
         self._fresh_prune = list(self.seqs)
         self._fresh_set = set(self.seqs)
-        # a restore severs any journal adoption: positions are only valid
-        # against the view built by folding that logger's acks in order
         self._live = {c: s for c, s in self.seqs.items() if len(s)}
-        self._ack_src = None
-        self._ack_pos = 0

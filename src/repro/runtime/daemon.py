@@ -253,11 +253,11 @@ class Vdaemon:
             return
         self.protocol.on_el_ack(stable_vector)
 
-    def _el_ack(self, stable_vector: list[int]) -> None:
+    def _el_ack(self, ack: Any) -> None:
         if not self.alive:
             return
         self.probes.el_acks_received += 1
-        self.protocol.on_el_ack(stable_vector)
+        self.protocol.on_el_ack(ack)
         if self.protocol.blocking_on_stability and self._stability_waiters:
             if getattr(self.protocol, "stability_gap")() == 0:
                 waiters, self._stability_waiters = self._stability_waiters, []

@@ -8,8 +8,12 @@
   into a private clock-sorted list, no store, no spans.
   ``tests/test_events.py`` runs random programs on both forms and checks
   they agree.
+* :func:`snapshot_fold` folds an Event Logger ack through its full
+  snapshot, the O(nprocs) fold the journal-slice fold of
+  ``VProtocol.on_el_ack`` replaces; ``tests/test_ack_fold_properties.py``
+  holds every protocol's stable view to it.
 
-Neither is reachable from a :class:`~repro.runtime.config.ClusterConfig`:
+None is reachable from a :class:`~repro.runtime.config.ClusterConfig`:
 test oracles, kept as small and as obviously right as possible.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Iterable, Iterator, Optional
 
+from repro.core.event_logger import ElAck
 from repro.core.events import Determinant
 
 
@@ -33,6 +38,16 @@ def full_scan(cls):
             return list(growth.by_index)
 
     return FullScan
+
+
+def snapshot_fold(view: dict[int, int], ack: Any) -> None:
+    """Max-merge an ack (an ``ElAck`` handle, a sparse vector or a dense
+    list) into the creator -> stable clock map ``view``."""
+    vector = ack.snapshot() if isinstance(ack, ElAck) else ack
+    items = vector.items() if hasattr(vector, "items") else enumerate(vector)
+    for creator, clock in items:
+        if clock > view.get(creator, 0):
+            view[creator] = clock
 
 
 class ListEventSequence:

@@ -1,5 +1,6 @@
 """Unit tests for the Event Logger stable server."""
 
+from repro.core.bounds import BoundVector
 from repro.core.event_logger import EL_HOST, EventLogger
 from repro.core.events import Determinant
 from repro.metrics.probes import ClusterProbes
@@ -29,7 +30,7 @@ def test_log_and_ack_carries_stable_vector():
     acks = []
     el.receive_log(1, (det(1, 1),), lambda v: acks.append(v), "n1")
     sim.run()
-    assert [v.as_list(3) for v in acks] == [[0, 1, 0]]
+    assert [BoundVector(v.snapshot()).as_list(3) for v in acks] == [[0, 1, 0]]
     assert el.stable_clock.as_list(3) == [0, 1, 0]
     assert probes.el_determinants_stored == 1
 
@@ -89,9 +90,18 @@ def test_fetch_events_empty_when_nothing_stored():
 
 def test_hole_keeps_stability_at_contiguous_prefix():
     sim, net, el, _ = make_el()
+    acks = []
     el.receive_log(0, (det(0, 1), det(0, 3)), lambda v: None, "n0")
     sim.run()
     assert el.stable_clock[0] == 1  # 3 stored but not stable past the hole
+    # the filler lands below the newest clock and stability advances over
+    # the buffered run in one journal entry
+    el.receive_log(0, (det(0, 2),), acks.append, "n0")
+    sim.run()
+    assert [d.clock for d in el.store[0]] == [1, 2, 3]
+    assert el.stable_clock[0] == 3
+    assert el._ack_log == [(0, 1), (0, 3)]
+    assert acks[0].snapshot() == {0: 3}
 
 
 def test_ack_vector_covers_nprocs():
@@ -99,7 +109,7 @@ def test_ack_vector_covers_nprocs():
     acks = []
     el.receive_log(4, (det(4, 1),), lambda v: acks.append(v), "n0")
     sim.run()
-    assert acks[0].as_list(5) == [0, 0, 0, 0, 1]
+    assert BoundVector(acks[0].snapshot()).as_list(5) == [0, 0, 0, 0, 1]
 
 
 def test_ack_wire_bytes_dense_vs_sparse():

@@ -21,6 +21,7 @@ from repro import (
     OneShotFaults,
     StormFaults,
 )
+from repro.experiments.common import run_nas
 from repro.runtime.retry import RetryChannel, RetryPolicy, RetryStats
 
 from tests.conftest import ring_app, run_ring
@@ -379,6 +380,31 @@ def test_el_shard_crash_then_rank_kill_recovers_from_survivor(baseline):
     store = result.cluster.determinants
     assert store.recreated_forked == 0
     assert store.recreated_equal == result.probes.total("replayed_receptions")
+
+
+@pytest.mark.parametrize("kill_at", [0.02, 0.05])
+def test_el_failover_fills_holes_behind_direct_logs(kill_at):
+    """After a failover flips ownership, the absorbed creators' direct
+    logs reach the new owner before the dead shard's disk does.  The
+    disk records and re-logs land below clocks it already stored: they
+    must fill the holes, and stability must advance over every buffered
+    run, so each absorbed creator ends stable up to its daemon's clock
+    (dropping them as duplicates froze those clocks at the kill)."""
+    cfg = ClusterConfig().with_overrides(
+        el_count=2, el_sync_strategy="tree", el_sync_interval_s=5e-3,
+        el_failover=True, rpc_timeout_s=25e-3,
+    )
+    result, _ = run_nas(
+        "lu", "A", 16, "vcausal", config=cfg,
+        fault_plan=InfraFaults(el_shard_kills=[(kill_at, 0)]),
+    )
+    assert result.finished
+    assert result.probes.el_failovers == 1
+    survivor = result.cluster.event_logger.shards[1]
+    absorbed = range(0, 16, 2)  # shard 0's key range
+    assert {c: survivor.stable_clock[c] for c in absorbed} == {
+        c: result.cluster.daemons[c].clock for c in absorbed
+    }
 
 
 def test_el_shard_crash_without_failover_strands_the_range():

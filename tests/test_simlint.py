@@ -283,6 +283,27 @@ def test_sequence_internals_stay_private():
     assert hits == {}
 
 
+def test_ack_journal_stays_private():
+    """Only ``core/event_logger.py`` (which writes an ``ElAck``) and
+    ``core/protocol_base.py`` (``VProtocol.on_el_ack``, the one ack fold)
+    read an ack's journal slots ``log`` / ``upto``: every protocol folds
+    acks through that path, so no second adoption logic can drift from
+    it."""
+    from repro.core.event_logger import ElAck
+
+    journal = frozenset(ElAck.__slots__) - {"src"}
+    assert journal == {"log", "upto"}
+    src = REPO_ROOT / "src" / "repro"
+    allowed = {src / "core" / "event_logger.py", src / "core" / "protocol_base.py"}
+    hits = {
+        path.relative_to(src).as_posix(): uses
+        for path in sorted(src.rglob("*.py"))
+        if path not in allowed
+        and (uses := _sequence_private_uses(path.read_text(), journal))
+    }
+    assert hits == {}
+
+
 def test_simlint_cli_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "tools.simlint", "src", "tools"],
