@@ -9,7 +9,8 @@ Modules
 * :mod:`~repro.core.vcausal` — Vcausal piggyback reduction.
 * :mod:`~repro.core.antecedence` — antecedence graph shared by the two
   graph protocols.
-* :mod:`~repro.core.graph_protocol` — the bookkeeping the two share.
+* :mod:`~repro.core.graph_protocol` — the state and piggyback path the two
+  share.
 * :mod:`~repro.core.manetho` — Manetho piggyback reduction.
 * :mod:`~repro.core.logon` — LogOn piggyback reduction (SRDS'98).
 * :mod:`~repro.core.event_logger` — the Event Logger stable server.

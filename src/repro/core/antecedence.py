@@ -14,15 +14,11 @@ past), so per-peer knowledge is a vector of per-creator clock bounds, and
 knowledge discovery is a traversal that walks unknown chain segments and
 follows their cross edges.
 
-Every vertex also carries a Lamport stamp ``L(e) = 1 + max(L(chain pred),
-L(cross pred))``, the chain predecessor being the creator's nearest
-*held* lower clock; sorting by it yields the partial-order piggyback
-LogOn ships.  A vertex filling a hole below held clocks re-stamps those
-successors, so each creator's events sort by clock even when a holder
-learns them out of order (receivers store every creator run as one
-clock-ascending sequence).  The order extends the causal order as the
-holder knew it at each insertion: a cross predecessor learned after its
-dependent does not re-stamp the dependent.
+The graph keeps no per-vertex side table: each creator's chain is a
+window over the cluster's determinant store, and the cross edge is the
+determinant's own ``(sender, dep)`` fields.  LogOn's partial-order
+reordering is charged as a modelled cost (``cost_logon_reorder_s``), not
+materialized here (see ``docs/PROTOCOLS.md``).
 
 EL acknowledgements *prune* the graph: stable vertices and their incident
 edges are dropped ("information avoiding the emission of unnecessary
@@ -49,8 +45,6 @@ class AntecedenceGraph:
         #: every chain is a window over this store's backing lists
         self.store = store if store is not None else DeterminantStore()
         self.seqs: dict[int, EventSequence] = {}
-        #: (creator, clock) -> Lamport stamp
-        self.lamport: dict[tuple[int, int], int] = {}
         #: maintained vertex count (len() is on the per-message cost path)
         self._size = 0
         #: dirty-creator worklist backing: creators grown since any given
@@ -90,35 +84,14 @@ class AntecedenceGraph:
     # construction
 
     def add(self, det: Determinant) -> bool:
-        """Insert a vertex (and its implicit edges); False if already present."""
+        """Insert a vertex (and its implicit edges); False if already
+        present or stable."""
         creator = det.creator
         seq = self.seqs.get(creator)
         if seq is None:
             seq = self._new_seq(creator)
-        clock = det.clock
-        if clock <= seq.pruned_upto:
-            return False  # stable (possibly compacted away): never re-admit
-        if clock > seq.max_clock:
-            seq.append(det)
-            hole = False
-        elif seq.holds(clock) or seq.merge([det]) == 0:
+        if not seq.merge((det,)):
             return False
-        else:
-            hole = True
-        lamport = self.lamport
-        chain = self._stamp_below(seq, clock)
-        cross = lamport.get((det.sender, det.dep), 0) if det.dep > 0 else 0
-        stamp = lamport[(creator, clock)] = 1 + max(chain, cross)
-        if hole:
-            # rare path: held successors may carry stamps at or below
-            # this one; raise them so the chain keeps sorting by clock
-            dets, lo, hi = seq.index_window(clock, seq.max_clock)
-            for i in range(lo, hi):
-                key = (creator, dets[i].clock)
-                if lamport[key] > stamp:
-                    break
-                stamp += 1
-                lamport[key] = stamp
         self._size += 1
         self.growth.mark_grown(creator)
         return True
@@ -138,40 +111,18 @@ class AntecedenceGraph:
         split = seq.new_run_offset(first, last, count)
         if split is None:
             # unclassifiable run (holes / partial overlap): per-determinant
-            # fallback; add() marks growth itself
+            # merge, which skips held and stable clocks
             self.det_merges += count
-            added = 0
-            for k in range(first, last + 1):
-                if self.add(backing[k - 1]):
-                    added += 1
-            return added
-        self.run_merges += 1
-        if split == count:
-            return 0  # whole run already present
-        first += split
-        # the run lands above every held clock: each event's nearest held
-        # chain predecessor is the previous one (the first's is below it)
-        stamp = self._stamp_below(seq, first)
-        n = seq.extend_monotonic(first, last, backing)
-        lamport = self.lamport
-        for k in range(first, last + 1):
-            det = backing[k - 1]
-            cross = lamport.get((det.sender, det.dep), 0) if det.dep > 0 else 0
-            stamp = lamport[(creator, k)] = 1 + max(stamp, cross)
-        self._size += n
-        self.growth.mark_grown(creator)
+            n = seq.merge([backing[k - 1] for k in range(first, last + 1)])
+        else:
+            self.run_merges += 1
+            if split == count:
+                return 0  # whole run already present
+            n = seq.extend_monotonic(first + split, last, backing)
+        if n:
+            self._size += n
+            self.growth.mark_grown(creator)
         return n
-
-    def _stamp_below(self, seq: EventSequence, clock: int) -> int:
-        """Stamp of the nearest held clock of ``seq`` below ``clock``
-        (0 when none is held)."""
-        stamp = self.lamport.get((seq.creator, clock - 1))
-        if stamp is not None:
-            return stamp
-        if clock - 1 <= seq.pruned_upto:
-            return 0
-        dets, lo, hi = seq.index_window(seq.pruned_upto, clock - 1)
-        return self.lamport[(seq.creator, dets[hi - 1].clock)] if hi > lo else 0
 
     def prune(self, stable: StableVector) -> int:
         """Drop vertices made stable by the EL; returns vertices dropped.
@@ -179,17 +130,14 @@ class AntecedenceGraph:
         Scans every chain on purpose: a chain's prune floor is only
         raised when its window is visited, so the per-ack full scan is
         what drops stale determinants re-admitted below already-stable
-        clocks on the next ack (see Manetho/LogOn ``on_el_ack``).
+        clocks on the next ack (see ``GraphProtocol._fold_vector``).
         """
         dropped = 0
-        lamport = self.lamport
         for creator, seq in self.seqs.items():
             bound = stable[creator]
             lo = seq.min_clock
             if lo is None or bound < lo:
                 continue
-            for clock in seq.clocks_upto(bound):
-                lamport.pop((creator, clock), None)
             dropped += seq.prune_upto(bound)
         self._size -= dropped
         return dropped
@@ -273,13 +221,6 @@ class AntecedenceGraph:
             kdata[creator] = seq.max_clock
         return runs, backings, n, groups
 
-    def topological(self, events: list[Determinant]) -> list[Determinant]:
-        """Order ``events`` by a linear extension of the causal order."""
-        lam = self.lamport
-        return sorted(
-            events, key=lambda d: (lam.get((d.creator, d.clock), 0), d.creator, d.clock)
-        )
-
     # ------------------------------------------------------------------ #
 
     def events_created_by(self, creator: int) -> list[Determinant]:
@@ -287,10 +228,7 @@ class AntecedenceGraph:
         return list(seq) if seq is not None else []
 
     def export_state(self) -> dict[str, Any]:
-        return {
-            "seqs": {c: s.export_state() for c, s in self.seqs.items()},
-            "lamport": dict(self.lamport),
-        }
+        return {"seqs": {c: s.export_state() for c, s in self.seqs.items()}}
 
     def restore_state(self, state: dict[str, Any]) -> None:
         # EventSequence.from_state restores each sequence's pruned_upto, so
@@ -302,7 +240,6 @@ class AntecedenceGraph:
             for creator, s in state["seqs"].items()
         }
         self._size = self.scan_size()
-        self.lamport = dict(state["lamport"])
         # every restored chain counts as freshly grown, so the first build
         # on each channel after a restore scans them all (see
         # GrowthLog.repopulate; protocols also reset their channel cursors)

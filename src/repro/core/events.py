@@ -296,16 +296,6 @@ class EventSequence:
                 n += last - first + 1
         return n
 
-    def clocks_upto(self, bound: int) -> list[int]:
-        """Held clocks ``<= bound``, ascending (the antecedence graph walks
-        these right before pruning them)."""
-        return [
-            k
-            for first, last in self._spans
-            if first <= bound
-            for k in range(first, min(last, bound) + 1)
-        ]
-
     # -- mutation ------------------------------------------------------- #
 
     def _put(self, clock: int, det: Determinant) -> None:

@@ -1,16 +1,24 @@
-"""What Manetho and LogOn share: an antecedence graph and its bookkeeping.
+"""What Manetho and LogOn share: an antecedence graph and its piggyback path.
 
 Both protocols keep an :class:`~repro.core.antecedence.AntecedenceGraph`,
 per-peer knowledge bounds and the peers' observed reception clocks, prune
-on every Event Logger ack, and checkpoint the same state.  They also
-discover a receiver's knowledge and merge a piggyback's creator runs the
-same way; they differ in how a piggyback is ordered and what each step
-costs (paper §III-B.2), so ``build_piggyback`` / ``accept_piggyback``
-live in the subclasses around the shared steps here.
+on every Event Logger ack, and checkpoint the same state.  They build and
+accept piggybacks the same way too: discover the receiver's knowledge on
+the send path, ship the unknown events as clock-ascending per-creator
+runs, merge them run-at-a-time on receipt.  What the paper says differs
+(§III-B.2, §III-C) is declared by the subclasses as overrides of three
+steps:
+
+* :meth:`_reorder_cost` — LogOn's partial-order reordering on send,
+  charged as a modelled cost (the order itself is never materialized);
+* :meth:`_relink_events` — Manetho's second pass over the merged events
+  on receive;
+* :meth:`_wire_bytes` — factored (Manetho) or flat (LogOn) wire format.
 """
 
 from __future__ import annotations
 
+from math import log2
 from typing import Any, Optional
 
 from repro.core.antecedence import AntecedenceGraph
@@ -23,7 +31,8 @@ from repro.runtime.config import ClusterConfig
 
 
 class GraphProtocol(VProtocol):
-    """Antecedence-graph causal logging, minus the traversal strategy."""
+    """Antecedence-graph causal logging, minus the paper's three
+    per-protocol differences."""
 
     __slots__ = ("graph", "known", "peer_clock_seen")
 
@@ -51,32 +60,69 @@ class GraphProtocol(VProtocol):
             k = self.known[peer] = BoundVector()
         return k
 
-    def _discover_knowledge(self, dst: int, known: BoundVector) -> int:
-        """Raise ``known`` over the causal past of ``dst``'s latest event
-        we hold; returns the graph steps visited.  That event may be known
-        through a third party (paper Fig. 3: P3 infers what P2 knows
-        without ever having communicated with it)."""
-        dst_seq = self.graph.seqs.get(dst)
+    # ------------------------------------------------------------------ #
+    # the per-protocol steps
+
+    def _reorder_cost(self, n: int) -> float:
+        """Simulated cost of ordering ``n`` piggybacked events on send."""
+        return 0.0
+
+    def _relink_events(self, pb: Piggyback) -> int:
+        """Events re-crossed after the merge to generate the new edges."""
+        return 0
+
+    def _wire_bytes(self, n_events: int, n_groups: int) -> int:
+        """Wire size of a piggyback of ``n_events`` in ``n_groups``
+        creator groups."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+
+    def build_piggyback(self, dst: int) -> Piggyback:
+        cfg = self.config
+        graph = self.graph
+        known = self._known(dst)
+        # knowledge discovery is paid on the send path: cross the graph
+        # from the receiver's latest event we hold, which may be known
+        # through a third party (paper Fig. 3: P3 infers what P2 knows
+        # without ever having communicated with it)
+        dst_seq = graph.seqs.get(dst)
         start = max(
             self.peer_clock_seen.get(dst, 0),
             dst_seq.max_clock if dst_seq is not None else 0,
         )
-        if start > known[dst]:
-            return self.graph.raise_knowledge((dst, start), known)
-        return 0
+        visits = graph.raise_knowledge((dst, start), known) if start > known[dst] else 0
+        # select_unknown raises known in place: everything piggybacked is
+        # now known by dst.  The dirty-creator worklist restricts the scan
+        # to chains grown since the last build for dst; clean chains are
+        # already covered by the knowledge bound and contribute nothing.
+        candidates = self._build_candidates(dst, graph.growth)
+        runs, backings, n, groups = graph.select_unknown(known, self.stable, candidates)
+        # sparse mode charges the held chains, not nprocs; the charge is
+        # worklist-independent (simulated results must not change)
+        cost = (
+            cfg.cost_piggyback_fixed_s
+            + self._pb_send_scan_cost(len(graph.seqs))
+            + (visits + n) * cfg.cost_graph_visit_s
+            + self._reorder_cost(n)
+            + n * cfg.cost_serialize_event_s
+            + cfg.cost_graph_pressure_s * log2(1 + len(graph))
+        )
+        self.probes.pb_send_ops += visits + 2 * n
+        self.probes.pb_send_time_s += cost
+        nbytes = self._wire_bytes(n, groups)
+        return Piggyback(tuple(runs), tuple(backings), n, groups, nbytes, cost)
 
-    def _merge_runs(self, src: int, pb: Piggyback, dep: int) -> int:
-        """Merge ``pb`` into the graph run-at-a-time and raise what
-        ``src`` is known to hold; returns the new events.
-
-        Within a run the creator's clocks ascend, and across runs of the
-        same creator later runs carry later clocks (chain order is causal
-        order), so per-run knowledge updates land on the same bounds a
-        per-determinant walk would.
-        """
+    def accept_piggyback(self, src: int, pb: Piggyback, dep: int) -> float:
+        cfg = self.config
+        graph = self.graph
         known = self._known(src).data
         kget = known.get
-        graph = self.graph
+        # merge run-at-a-time (see AntecedenceGraph.add_run).  Within a run
+        # the creator's clocks ascend, and across runs of the same creator
+        # later runs carry later clocks (chain order is causal order), so
+        # per-run knowledge updates land on the same bounds a
+        # per-determinant walk would.
         new = 0
         r0, d0 = graph.run_merges, graph.det_merges
         for (creator, first, last), backing in zip(pb.runs, pb.backings):
@@ -90,13 +136,25 @@ class GraphProtocol(VProtocol):
         # knowledge closure of (src, dep) is discovered lazily at next send
         if dep > self.peer_clock_seen.get(src, 0):
             self.peer_clock_seen[src] = dep
-        return new
+        relink = self._relink_events(pb)
+        # sparse mode: one knowledge entry touched per creator group plus
+        # src's own
+        cost = (
+            self._pb_recv_scan_cost(pb.n_groups + 1)
+            + new * cfg.cost_graph_insert_s
+            + relink * cfg.cost_graph_insert_s
+            + pb.n_events * cfg.cost_deserialize_event_s
+        )
+        self.probes.pb_recv_ops += new + relink
+        self.probes.pb_recv_time_s += cost
+        self.probes.note_events_held(len(graph))
+        return cost
 
     def on_local_event(self, det: Determinant) -> None:
         self.graph.add(det)
         self.probes.note_events_held(len(self.graph))
 
-    def on_el_ack(self, stable_vector: StableState) -> None:
+    def _fold_vector(self, vector: StableState) -> None:
         # unconditional full prune, exactly the pre-worklist behavior: a
         # chain's prune floor is only raised when its window is visited
         # with stable coverage, so stale determinants re-admitted below an
@@ -104,8 +162,11 @@ class GraphProtocol(VProtocol):
         # no stable entry moved — a moved-creators worklist cannot
         # reproduce that transient (vcausal can, because its fused loop
         # keeps every floor glued to the stable vector)
-        super().on_el_ack(stable_vector)
+        super()._fold_vector(vector)
         self.graph.prune(self.stable)
+
+    #: every ack path prunes once, an adopted ack with an empty slice too
+    _fold_raises = _fold_vector
 
     # ------------------------------------------------------------------ #
 

@@ -51,9 +51,12 @@ class PessimisticProtocol(VProtocol):
         self.own.append(det)
         self.probes.note_events_held(len(self.own))
 
-    def on_el_ack(self, stable_vector: StableState) -> None:
-        super().on_el_ack(stable_vector)
+    def _fold_vector(self, vector: StableState) -> None:
+        super()._fold_vector(vector)
         self.own.prune_upto(self.stable[self.rank])
+
+    #: every ack path prunes once, an adopted ack with an empty slice too
+    _fold_raises = _fold_vector
 
     def stability_gap(self) -> int:
         """Own events still unacknowledged (sends must wait for zero)."""

@@ -7,20 +7,21 @@ Two encodings exist in the paper:
   ``{rid, nb, sequence-of-events}`` so the creator rank is paid once per
   group (8-byte header) and each event costs 12 bytes.
 
-* **Flat** (LogOn): the piggyback must respect a partial order across all
-  creators, so factoring is impossible; every event carries its creator
-  rank and costs 16 bytes.  "For the same number of events to piggyback,
-  the actual size in bytes of data added to the message is higher for
-  LogOn."
+* **Flat** (LogOn): in the paper the piggyback respects a partial order
+  across all creators, so factoring is impossible; every event carries
+  its creator rank and costs 16 bytes.  "For the same number of events to
+  piggyback, the actual size in bytes of data added to the message is
+  higher for LogOn."  The simulator charges this per event; it does not
+  materialize the order.
 
 Either way a :class:`Piggyback` carries the events as clock-range runs
 ``(creator, first, last)``, each with the sender's interned backing list
 it reads from (:class:`~repro.core.events.DeterminantStore`), plus the
-event and creator-group counts the byte and cost accounting needs.  A run is a
-clock-contiguous stretch of one creator; a creator group (a factored
-``{rid, nb, …}`` entry, or a maximal same-creator stretch of LogOn's
-linear extension) is one or more runs.  :attr:`Piggyback.events` derives
-the determinant list from the runs.
+event and creator-group counts the byte and cost accounting needs.  A run
+is a clock-contiguous stretch of one creator; a creator group (a factored
+``{rid, nb, …}`` entry) is the one or more runs of one creator, which the
+build loops emit together.  :attr:`Piggyback.events` derives the
+determinant list from the runs.
 
 Byte sizes are configurable through :class:`~repro.runtime.config.ClusterConfig`;
 the defaults match 4-byte rank/clock/ssn fields.
@@ -28,8 +29,6 @@ the defaults match 4-byte rank/clock/ssn fields.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import attrgetter
 from typing import Sequence
 
 from repro.core.events import Determinant
@@ -85,17 +84,11 @@ class Piggyback:
         return tuple(run_events(self.runs, self.backings))
 
 
-def factored_bytes(events: Sequence[Determinant], config: ClusterConfig) -> int:
-    """Wire size of a factored (Vcausal/Manetho) piggyback: one group
-    header per maximal same-creator stretch of ``events``."""
-    groups = sum(1 for _ in groupby(events, key=attrgetter("creator")))
-    return factored_bytes_from_counts(len(events), groups, config)
-
-
 def factored_bytes_from_counts(
     n_events: int, n_groups: int, config: ClusterConfig
 ) -> int:
-    """:func:`factored_bytes` from the counts the build loops keep."""
+    """Wire size of a factored (Vcausal/Manetho) piggyback: one group
+    header per creator group."""
     return (
         config.pb_length_header_bytes
         + n_groups * config.pb_group_header_bytes
@@ -103,6 +96,6 @@ def factored_bytes_from_counts(
     )
 
 
-def flat_bytes(events: Sequence[Determinant], config: ClusterConfig) -> int:
+def flat_bytes_from_count(n_events: int, config: ClusterConfig) -> int:
     """Wire size of a flat (LogOn) piggyback."""
-    return config.pb_length_header_bytes + len(events) * config.pb_event_flat_bytes
+    return config.pb_length_header_bytes + n_events * config.pb_event_flat_bytes

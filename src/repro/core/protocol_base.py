@@ -202,7 +202,12 @@ class VProtocol:
         self._ack_src = None
 
     def _fold_vector(self, vector: StableState) -> None:
-        """Max-merge a stable vector (sparse mapping or dense list)."""
+        """Max-merge a stable vector (sparse mapping or dense list).
+
+        :meth:`on_el_ack` calls exactly one of this and
+        :meth:`_fold_raises` per ack; a protocol that acts on an ack (a
+        prune) overrides these steps, never :meth:`on_el_ack` itself.
+        """
         self.stable.update(vector)
 
     #: fold journal entries that each raise the stable view

@@ -12,6 +12,14 @@
   snapshot, the O(nprocs) fold the journal-slice fold of
   ``VProtocol.on_el_ack`` replaces; ``tests/test_ack_fold_properties.py``
   holds every protocol's stable view to it.
+* :func:`factored_bytes` / :func:`flat_bytes` size a piggyback from its
+  event list; ``src/`` sizes it from the counts its build loops keep, and
+  ``tests/test_piggyback.py`` checks the two forms agree.
+* :func:`causal_linear_extension` orders events by the causal order the
+  paper's LogOn piggybacks follow; the simulator charges that order as a
+  cost and never materializes it, and
+  ``tests/test_protocol_properties.py`` checks that merging in this order
+  ends in the same graph as merging the runs as shipped.
 
 None is reachable from a :class:`~repro.runtime.config.ClusterConfig`:
 test oracles, kept as small and as obviously right as possible.
@@ -20,10 +28,15 @@ test oracles, kept as small and as obviously right as possible.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterable, Iterator, Optional
+from heapq import heapify, heappop, heappush
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.core.event_logger import ElAck
 from repro.core.events import Determinant
+from repro.core.piggyback import factored_bytes_from_counts, flat_bytes_from_count
+from repro.runtime.config import ClusterConfig
 
 
 def full_scan(cls):
@@ -48,6 +61,50 @@ def snapshot_fold(view: dict[int, int], ack: Any) -> None:
     for creator, clock in items:
         if clock > view.get(creator, 0):
             view[creator] = clock
+
+
+def factored_bytes(events: Sequence[Determinant], config: ClusterConfig) -> int:
+    """Wire size of a factored piggyback: one group header per maximal
+    same-creator stretch of ``events``."""
+    groups = sum(1 for _ in groupby(events, key=attrgetter("creator")))
+    return factored_bytes_from_counts(len(events), groups, config)
+
+
+def flat_bytes(events: Sequence[Determinant], config: ClusterConfig) -> int:
+    """Wire size of a flat (LogOn) piggyback of ``events``."""
+    return flat_bytes_from_count(len(events), config)
+
+
+def causal_linear_extension(events: Iterable[Determinant]) -> list[Determinant]:
+    """``events`` in a linear extension of the causal order among them
+    (Kahn's algorithm).
+
+    The edges are the antecedence graph's: a chain edge from a creator's
+    previous clock and a cross edge from ``(sender, dep)``, each counted
+    when both ends are in ``events``.  Ties go to the smallest
+    ``(creator, clock)``, so the order is deterministic.
+    """
+    by_id = {(d.creator, d.clock): d for d in events}
+    succs: dict[tuple[int, int], list[tuple[int, int]]] = {e: [] for e in by_id}
+    indeg = dict.fromkeys(by_id, 0)
+    for (creator, clock), d in by_id.items():
+        for pred in ((creator, clock - 1), (d.sender, d.dep)):
+            if pred in by_id:
+                succs[pred].append((creator, clock))
+                indeg[(creator, clock)] += 1
+    ready = [e for e, k in indeg.items() if k == 0]
+    heapify(ready)
+    order = []
+    while ready:
+        e = heappop(ready)
+        order.append(by_id[e])
+        for s in succs[e]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                heappush(ready, s)
+    if len(order) != len(by_id):
+        raise ValueError("causal order has a cycle")
+    return order
 
 
 class ListEventSequence:
@@ -165,10 +222,6 @@ class ListEventSequence:
         lo = bisect_right(self._clocks, bound, lo=self._offset)
         hi = bisect_right(self._clocks, upto, lo=lo)
         return self._dets, lo, hi
-
-    def clocks_upto(self, bound: int) -> list[int]:
-        hi = bisect_right(self._clocks, bound, lo=self._offset)
-        return self._clocks[self._offset : hi]
 
     def prune_upto(self, clock: int) -> int:
         if clock > self.pruned_upto:

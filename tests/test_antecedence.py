@@ -1,7 +1,4 @@
-"""Unit + property tests for the antecedence graph."""
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
+"""Unit tests for the antecedence graph."""
 
 from repro.core.antecedence import AntecedenceGraph
 from repro.core.bounds import BoundVector
@@ -34,14 +31,23 @@ def test_add_duplicate_returns_false():
     assert len(g) == 4
 
 
-def test_lamport_stamps_respect_causality():
-    g = build_chain_world()
-    # the chain a -> b -> c -> d must have strictly increasing stamps
-    la = g.lamport[(0, 1)]
-    lb = g.lamport[(1, 1)]
-    lc = g.lamport[(2, 1)]
-    ld = g.lamport[(0, 2)]
-    assert la < lb < lc < ld
+def test_add_run_fills_holes_and_skips_held_and_stable():
+    """A run over a window with holes merges per determinant: it adds
+    exactly the missing unstable clocks and marks the chain grown once."""
+    backing = [Determinant(0, k, 1, k, 0) for k in range(1, 9)]
+    g = AntecedenceGraph(2)
+    for k in (1, 3, 6):
+        g.add(backing[k - 1])
+    stable = StableVector(2)
+    stable.advance(0, 1)
+    assert g.prune(stable) == 1
+    tick = g.growth.counter
+    assert g.add_run(0, 1, 8, backing) == 5  # 2, 4, 5, 7, 8; not stable 1
+    assert (g.det_merges, g.run_merges) == (8, 0)
+    assert [d.clock for d in g.events_created_by(0)] == list(range(2, 9))
+    assert len(g) == g.scan_size() == 7
+    assert g.growth.counter == tick + 1
+    assert g.add_run(0, 2, 8, backing) == 0
 
 
 def test_raise_knowledge_covers_causal_past():
@@ -92,14 +98,13 @@ def test_select_unknown_respects_stable():
     assert {(d.creator, d.clock) for d in events} == {(2, 1)}
 
 
-def test_prune_drops_vertices_and_lamport():
+def test_prune_drops_vertices():
     g = build_chain_world()
     stable = StableVector(3)
     stable.advance(0, 1)
     dropped = g.prune(stable)
     assert dropped == 1
     assert (0, 1) not in g
-    assert (0, 1) not in g.lamport
     assert (0, 2) in g
 
 
@@ -117,46 +122,14 @@ def test_prune_makes_knowledge_conservative_not_wrong():
     assert (0, 1) not in {(d.creator, d.clock) for d in events}
 
 
-def test_topological_is_linear_extension():
-    g = build_chain_world()
-    events = [g.get(0, 2), g.get(2, 1), g.get(0, 1), g.get(1, 1)]
-    ordered = g.topological(events)
-    ids = [(d.creator, d.clock) for d in ordered]
-    assert ids.index((0, 1)) < ids.index((1, 1)) < ids.index((2, 1)) < ids.index((0, 2))
-
-
 def test_export_restore_roundtrip():
     g = build_chain_world()
     state = g.export_state()
     g2 = AntecedenceGraph(3)
     g2.restore_state(state)
     assert len(g2) == len(g)
-    assert g2.lamport == g.lamport
     known1, known2 = BoundVector(), BoundVector()
     g.raise_knowledge((0, 2), known1)
     g2.raise_knowledge((0, 2), known2)
     assert known1 == known2
 
-
-# --------------------------------------------------------------------- #
-# property: random DAG construction keeps Lamport a valid linear extension
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_lamport_always_exceeds_predecessors(data):
-    n = data.draw(st.integers(2, 4))
-    g = AntecedenceGraph(n)
-    clocks = [0] * n
-    steps = data.draw(st.integers(1, 40))
-    for _ in range(steps):
-        sender = data.draw(st.integers(0, n - 1))
-        receiver = data.draw(st.integers(0, n - 1).filter(lambda r: r != sender))
-        dep = clocks[sender]
-        clocks[receiver] += 1
-        det = Determinant(receiver, clocks[receiver], sender, 1, dep)
-        g.add(det)
-        lam = g.lamport[(receiver, clocks[receiver])]
-        if clocks[receiver] > 1:
-            assert lam > g.lamport.get((receiver, clocks[receiver] - 1), 0)
-        if dep > 0:
-            assert lam > g.lamport.get((sender, dep), 0)

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from repro.core.events import Determinant
 from repro.core.piggyback import (
     Piggyback,
-    factored_bytes,
     factored_bytes_from_counts,
-    flat_bytes,
+    flat_bytes_from_count,
     run_events,
 )
 from repro.runtime.config import ClusterConfig
+from tests.oracles import factored_bytes, flat_bytes
 
 CFG = ClusterConfig()
 
@@ -97,6 +97,7 @@ def test_run_counting_shared_across_helpers(pairs):
     assert factored_bytes(events, CFG) == factored_bytes_from_counts(
         pb.n_events, pb.n_groups, CFG
     )
+    assert flat_bytes(events, CFG) == flat_bytes_from_count(pb.n_events, CFG)
 
 
 @settings(max_examples=100, deadline=None)

@@ -304,6 +304,35 @@ def test_ack_journal_stays_private():
     assert hits == {}
 
 
+def _defines(source: str, name: str) -> list[int]:
+    """Lines where ``name`` is defined as a function or bound by an
+    assignment, at any depth."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.FunctionDef) and node.name == name)
+        or (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store))
+    )
+
+
+def test_ack_fold_defined_once():
+    """Only ``core/protocol_base.py`` defines ``on_el_ack``: a protocol
+    that must act on an ack (a prune) overrides the fold steps
+    ``_fold_vector`` / ``_fold_raises`` it dispatches to, so every ack
+    takes the one fold path and is counted once by a hook matched by
+    name."""
+    probe = "class P:\n    def on_el_ack(self, a): ...\n    on_el_ack = f\n"
+    assert _defines(probe, "on_el_ack") == [2, 3]
+    src = REPO_ROOT / "src" / "repro"
+    hits = {
+        path.relative_to(src).as_posix(): lines
+        for path in sorted(src.rglob("*.py"))
+        if (lines := _defines(path.read_text(), "on_el_ack"))
+    }
+    assert list(hits) == ["core/protocol_base.py"]
+    assert len(hits["core/protocol_base.py"]) == 1
+
+
 def test_simlint_cli_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "tools.simlint", "src", "tools"],

@@ -31,7 +31,7 @@ from repro.core.manetho import ManethoProtocol
 from repro.core.vcausal import VcausalProtocol
 from repro.metrics.probes import ProcessProbes
 from tests.conftest import ring_app, run_ring
-from tests.oracles import full_scan
+from tests.oracles import flat_bytes, full_scan
 
 CFG = ClusterConfig()
 PROTOCOLS = [VcausalProtocol, ManethoProtocol, LogOnProtocol]
@@ -216,8 +216,6 @@ def test_logon_accept_consumes_runs_not_determinants():
     # and the run table itself must ride on every LogOn piggyback
     pb = world.send(0, 2)
     from itertools import groupby
-
-    from repro.core.piggyback import flat_bytes
 
     assert pb.runs and pb.n_events == len(pb.events)
     assert pb.n_groups == sum(1 for _ in groupby(d.creator for d in pb.events))
