@@ -18,7 +18,7 @@ Modules
 * :mod:`~repro.core.coordinated` — Chandy-Lamport coordinated checkpointing.
 """
 
-from repro.core.events import Determinant, EventSequence, StableVector
+from repro.core.events import Determinant, EventSequence
 from repro.core.protocol_base import VProtocol, NoFaultTolerance, make_protocol
 from repro.core.vcausal import VcausalProtocol
 from repro.core.manetho import ManethoProtocol
@@ -29,7 +29,6 @@ from repro.core.coordinated import CoordinatedProtocol
 __all__ = [
     "Determinant",
     "EventSequence",
-    "StableVector",
     "VProtocol",
     "NoFaultTolerance",
     "make_protocol",

@@ -32,7 +32,7 @@ from typing import Any, Optional
 
 from repro.core.bounds import BoundVector
 from repro.core.events import (
-    Determinant, DeterminantStore, EventSequence, GrowthLog, StableVector,
+    Determinant, DeterminantStore, EventSequence, GrowthLog,
 )
 from repro.core.piggyback import Run
 
@@ -124,7 +124,7 @@ class AntecedenceGraph:
             self.growth.mark_grown(creator)
         return n
 
-    def prune(self, stable: StableVector) -> int:
+    def prune(self, stable: dict[int, int]) -> int:
         """Drop vertices made stable by the EL; returns vertices dropped.
 
         Scans every chain on purpose: a chain's prune floor is only
@@ -133,8 +133,9 @@ class AntecedenceGraph:
         clocks on the next ack (see ``GraphProtocol._fold_vector``).
         """
         dropped = 0
+        sget = stable.get
         for creator, seq in self.seqs.items():
-            bound = stable[creator]
+            bound = sget(creator, 0)
             lo = seq.min_clock
             if lo is None or bound < lo:
                 continue
@@ -180,7 +181,7 @@ class AntecedenceGraph:
     def select_unknown(
         self,
         known: BoundVector,
-        stable: StableVector,
+        stable: dict[int, int],
         candidates: list[int] | None = None,
     ) -> tuple[list[Run], list[list], int, int]:
         """Events not covered by ``known`` or the stable vector.
@@ -203,7 +204,7 @@ class AntecedenceGraph:
         n = groups = 0
         kdata = known.data
         kget = kdata.get
-        sv = stable.view()
+        sget = stable.get
         if candidates is None:
             items = self.seqs.items()
         else:
@@ -211,7 +212,7 @@ class AntecedenceGraph:
             items = [(c, seqs[c]) for c in candidates]
         for creator, seq in items:
             lo = kget(creator, 0)
-            s = sv[creator]
+            s = sget(creator, 0)
             if s > lo:
                 lo = s
             if seq.max_clock <= lo:

@@ -13,9 +13,9 @@ graphs touch O(log P) peers per rank.  :class:`BoundVector` stores only the
 nonzero entries, so per-message work scales with *touched entries*, not
 cluster size.
 
-Hot loops read/write :attr:`BoundVector.data` (the backing dict) directly
-— same contract as :meth:`StableVector.view`: mutations through the dict
-must only ever *raise* bounds, which is what every protocol does.
+Hot loops read/write :attr:`BoundVector.data` (the backing dict) directly;
+mutations through the dict must only ever *raise* bounds, which is what
+every protocol does.
 
 The cost model side lives in :class:`~repro.runtime.config.ClusterConfig`
 (``pb_cost_model``): the dense ``× nprocs`` formulas are kept as the

@@ -15,16 +15,19 @@ This module implements exactly that design space:
 * every shard is authoritative for the stable clocks of its assigned
   creators and keeps a (possibly stale) *global view* of the others;
 * acknowledgments carry the shard's merged global view, so nodes can prune
-  events of **all** creators, not just their shard's;
-* every sync message is a snapshot of the sender's merged view, exchanged
-  along one of three strategies:
+  events of **all** creators, not just their shard's.  An ack is an
+  :class:`~repro.core.event_logger.ElAck` handle on the shard's journal of
+  merged-view raises, absorbed peer views included;
+* every shard-to-shard sync message is a snapshot of the sender's merged
+  view, exchanged along one of three strategies:
 
   - ``"multicast"`` — each shard periodically multicasts its view to the
     other shards (nodes see fresher vectors on their next ack).
     O(shards²) messages per round: the all-to-all exchange the paper
     sketches;
-  - ``"broadcast"`` — shards additionally broadcast the merged vector to
-    every compute node directly (fresher pruning, more traffic);
+  - ``"broadcast"`` — shards additionally push the merged vector to
+    every compute node directly, as an ack-shaped handle (fresher
+    pruning, more traffic);
   - ``"tree"`` — binary reduce-then-broadcast over the shards (the
     MPICH-style collective pattern): views flow leaf→root along a binary
     tree rooted at shard 0, the root's merged global view flows back
@@ -57,7 +60,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.bounds import BoundVector
-from repro.core.event_logger import EventLogger
+from repro.core.event_logger import ElAck, EventLogger
 from repro.core.events import Determinant
 from repro.metrics.probes import ClusterProbes
 from repro.runtime.config import ClusterConfig
@@ -108,21 +111,14 @@ class EventLoggerGroup:
         #: a dead shard's slots at the surviving shard that absorbed them.
         self.owner: list[int] = list(range(count))
         self.shard_kills = 0
-        #: vectors pushed to nodes under the broadcast strategy
-        self.node_vector_sinks: dict[str, Callable[[list[int]], None]] = {}
+        #: per-node sinks for the broadcast strategy's pushes
+        self.node_vector_sinks: dict[str, Callable[[ElAck], None]] = {}
         #: per-node re-log request sinks (daemon.on_el_relog_request)
         self.relog_sinks: dict[str, Callable[[int], None]] = {}
         #: creators a re-log request found dead: the suffix the dead shard
         #: never acked died with their volatile state too, so their
         #: recovery also collects it from the peers that still hold it
         self.relog_missed: set[int] = set()
-        # journal-backed acks require the ack vector to advance only
-        # through the shard's own stable advances; sharded groups also
-        # advance it by absorbing peer views and disk rebuilds, so their
-        # acks stay plain snapshots (receivers fall back to the full fold)
-        if count > 1:
-            for shard in self.shards:
-                shard._ack_fast = False
         self.sync_rounds = 0
         self.sync_bytes = 0
         #: shard-to-shard sync messages (excludes broadcast-to-node pushes,
@@ -155,10 +151,8 @@ class EventLoggerGroup:
     def host_for(self, rank: int) -> str:
         return shard_host(self.shard_index_for(rank))
 
-    def register_node_sink(
-        self, host: str, sink: Callable[[list[int]], None]
-    ) -> None:
-        """Register a daemon callback for broadcast-strategy vectors."""
+    def register_node_sink(self, host: str, sink: Callable[[ElAck], None]) -> None:
+        """Register a daemon callback for broadcast-strategy pushes."""
         self.node_vector_sinks[host] = sink
 
     def register_relog_sink(self, host: str, sink: Callable[[int], None]) -> None:
@@ -278,8 +272,8 @@ class EventLoggerGroup:
 
     def _all_to_all_round(self) -> None:
         """Every alive shard sends its merged-view snapshot to every other
-        alive shard — O(count²) messages — and, under ``"broadcast"``, to
-        every compute node too (daemons consume plain stable vectors)."""
+        alive shard — O(count²) messages — and, under ``"broadcast"``, a
+        handle on that view to every compute node too."""
         alive = [s for s in self.shards if s.alive]
         broadcast = self.sync_strategy == "broadcast"
         for shard in alive:
@@ -298,11 +292,12 @@ class EventLoggerGroup:
                     args=(vector,),
                 )
             if broadcast:
+                push = shard.ack()
                 for host, sink in self.node_vector_sinks.items():
                     self.node_push_messages += 1
                     self.sync_bytes += vec_bytes
                     self.network.transfer(
-                        shard.host, host, vec_bytes, sink, args=(vector,)
+                        shard.host, host, vec_bytes, sink, args=(push,)
                     )
 
     # -- tree: binary reduce-then-broadcast over the shards -------------- #
@@ -360,10 +355,3 @@ class EventLoggerGroup:
         is its unread disk; counting it would double-count records already
         absorbed by its failover owner)."""
         return sum(s.stored_count() for s in self.shards if s.alive)
-
-    def merged_stable(self) -> list[int]:
-        out = BoundVector()
-        for shard in self.shards:
-            if shard.alive:
-                out.update_max(shard.merged_view())
-        return out.as_list(self.nprocs)

@@ -23,6 +23,11 @@ stable clocks of the creators that log to it, keeps a ``global_view`` of
 the clocks its peers sent it, and acks with the merge of the two.  The
 single EL of the paper's body is shard 0 of a one-shard group, whose
 global view stays empty, so its acks carry exactly its stable clocks.
+
+Every logger journals each raise of its merged view as a ``(creator,
+clock)`` entry, whether a stored determinant or an absorbed peer view
+raised it, and every ack is an :class:`ElAck` handle on that journal
+rather than a copy of the vector.
 """
 
 from __future__ import annotations
@@ -43,13 +48,13 @@ EL_HOST = "el"
 
 
 class ElAck:
-    """A journal-valid logger's ack: a handle, not a copy of its vector.
+    """A logger's ack or push: a handle, not a copy of its vector.
 
-    ``log[:upto]`` is the logger's ``(creator, clock)`` stable-advance
-    journal at serve time; each creator's entries rise, so folding it
-    (last wins) is the full stable vector the wire is charged for
-    (:meth:`snapshot`).  ``VProtocol.on_el_ack`` folds only the slice
-    past the position a process has consumed.
+    ``log[:upto]`` is the logger's ``(creator, clock)`` journal of merged
+    view raises at serve time; each creator's entries rise, so folding it
+    (last wins) is the full stable vector the wire is charged for.
+    ``VProtocol.on_el_ack`` folds only the slice past the position a
+    process has consumed from ``src``.
     """
 
     __slots__ = ("src", "log", "upto")
@@ -60,10 +65,6 @@ class ElAck:
         self.src = src
         self.log = log
         self.upto = upto
-
-    def snapshot(self) -> dict[int, int]:
-        """The stable vector this ack stands for (nonzero entries)."""
-        return dict(self.log[: self.upto])
 
 
 class EventLogger:
@@ -109,16 +110,10 @@ class EventLogger:
         #: Raised in place on every stable advance and absorb rather than
         #: recomputed (a full copy + elementwise max) on every ack.
         self._merged = BoundVector()
-        #: append-only journal of every (creator, clock) stable advance, in
-        #: advance order: what an :class:`ElAck` hands out instead of a
-        #: copy of the merged view.  At most one entry per stored
-        #: determinant, i.e. no larger than ``store`` itself.
+        #: append-only journal of every (creator, clock) raise of the
+        #: merged view, in raise order: what an :class:`ElAck` hands out
+        #: instead of a copy of the merged view
         self._ack_log: list[tuple[int, int]] = []
-        #: False when the ack vector can advance other than by this
-        #: logger's own stable advances (sharded groups: peer-view
-        #: absorbs, disk failover rebuilds) — the journal then no longer
-        #: mirrors the vector and acks fall back to plain snapshots.
-        self._ack_fast = True
         #: when the single-threaded select loop next falls idle
         self._busy_until = 0.0
         self._queued = 0
@@ -157,14 +152,13 @@ class EventLogger:
         self,
         src_rank: int,
         dets: tuple[Determinant, ...],
-        ack_to: Callable[[ElAck | BoundVector], None],
+        ack_to: Callable[[ElAck], None],
         ack_host: str,
     ) -> None:
         """Handle one asynchronous log message from ``src_rank``.
 
         ``ack_to`` is invoked at the source daemon when the ack message is
-        delivered; it receives the ack: an :class:`ElAck` handle, or a
-        merged-view snapshot from a logger whose journal is not valid.
+        delivered; it receives the ack, an :class:`ElAck` handle.
         """
         if not self.alive:
             self.probes.el_posts_dropped += 1
@@ -180,7 +174,7 @@ class EventLogger:
         self,
         src_rank: int,
         dets: tuple[Determinant, ...],
-        ack_to: Callable[[ElAck | BoundVector], None],
+        ack_to: Callable[[ElAck], None],
         ack_host: str,
     ) -> None:
         self._queued -= 1
@@ -189,18 +183,21 @@ class EventLogger:
         for det in dets:
             self._store(det)
         self.probes.el_determinants_stored += len(dets)
-        # ack with the full merged vector (a journal handle when the journal
-        # is valid: no per-ack copy), after a small batching delay
+        # ack with the full merged vector (a journal handle: no per-ack
+        # copy), after a small batching delay
         ack_bytes = self.config.el_ack_wire_bytes + self.ack_vector_bytes(self._merged)
-        ack = ElAck(self, self._ack_log, len(self._ack_log)) if self._ack_fast else self.merged_view()
         self.network.transfer(
             self.host,
             ack_host,
             ack_bytes,
             ack_to,
             extra_latency=self.config.el_ack_delay_s,
-            args=(ack,),
+            args=(self.ack(),),
         )
+
+    def ack(self) -> ElAck:
+        """A handle on the merged view as it stands now."""
+        return ElAck(self, self._ack_log, len(self._ack_log))
 
     def _store(self, det: Determinant) -> None:
         creator, clock = det.creator, det.clock
@@ -225,11 +222,10 @@ class EventLogger:
             top += 1
             nxt += 1
         stable[creator] = top
-        if self._ack_fast:
-            self._ack_log.append((creator, top))
         merged = self._merged.data
         if top > merged.get(creator, 0):
             merged[creator] = top
+            self._ack_log.append((creator, top))
 
     # ------------------------------------------------------------------ #
     # shard-to-shard view exchange
@@ -242,11 +238,13 @@ class EventLogger:
         """Merge a peer shard's merged-view snapshot into our views."""
         gv = self.global_view.data
         merged = self._merged.data
+        journal = self._ack_log
         for creator, clock in vector.items():
             if clock > gv.get(creator, 0):
                 gv[creator] = clock
                 if clock > merged.get(creator, 0):
                     merged[creator] = clock
+                    journal.append((creator, clock))
 
     # ------------------------------------------------------------------ #
     # recovery path

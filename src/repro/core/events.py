@@ -27,27 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import (
-    Any,
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Optional,
-    Protocol,
-    Sequence,
-    Union,
-)
-
-
-class SupportsStableItems(Protocol):
-    """Sparse stable-clock view: anything with ``items() -> (creator, clock)``
-    pairs (``BoundVector``, plain dicts)."""
-
-    def items(self) -> Iterable[tuple[int, int]]: ...
-
-
-#: what EL acks ship: the dense list form or any sparse nonzero mapping
-StableState = Union[Sequence[int], SupportsStableItems]
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 
 class Determinant(NamedTuple):
@@ -524,59 +504,3 @@ class GrowthLog:
         for creator in creators:
             self.register(creator)
             self.mark_grown(creator)
-
-
-class StableVector:
-    """Per-creator stable clocks acknowledged by the Event Logger.
-
-    ``stable[c] == k`` means every event of creator ``c`` with clock ≤ k is
-    safely stored at the EL and never needs to be piggybacked again.
-    Monotone by construction.
-    """
-
-    __slots__ = ("_v",)
-
-    def __init__(self, nprocs: int) -> None:
-        self._v = [0] * nprocs
-
-    def __getitem__(self, creator: int) -> int:
-        return self._v[creator]
-
-    def advance(self, creator: int, clock: int) -> bool:
-        """Raise the stable clock; returns True if it moved."""
-        if clock > self._v[creator]:
-            self._v[creator] = clock
-            return True
-        return False
-
-    def update(self, vector: "StableState") -> bool:
-        """Merge a stable vector (from an EL ack); True if any moved.
-
-        Accepts the dense list form or any sparse mapping of nonzero
-        entries (``BoundVector``/dict): ack snapshots and journal slices.
-        (Vcausal keeps a sparse view instead: its fold steps merge and
-        prune in one pass.)
-        """
-        v = self._v
-        moved = False
-        items = vector.items() if hasattr(vector, "items") else enumerate(vector)
-        for c, k in items:
-            if k > v[c]:
-                v[c] = k
-                moved = True
-        return moved
-
-    def as_list(self) -> list[int]:
-        return list(self._v)
-
-    def view(self) -> list[int]:
-        """The internal per-creator clock list, **read-only by contract**.
-
-        Hot loops index this directly instead of paying one
-        ``__getitem__`` descriptor call per event; mutations must still go
-        through :meth:`advance`/:meth:`update` to preserve monotonicity.
-        """
-        return self._v
-
-    def __len__(self) -> int:
-        return len(self._v)

@@ -23,7 +23,7 @@ from typing import Any, Optional
 
 from repro.core.antecedence import AntecedenceGraph
 from repro.core.bounds import BoundVector
-from repro.core.events import Determinant, DeterminantStore, StableState
+from repro.core.events import Determinant, DeterminantStore
 from repro.core.piggyback import Piggyback
 from repro.core.protocol_base import VProtocol
 from repro.metrics.probes import ProcessProbes
@@ -97,7 +97,7 @@ class GraphProtocol(VProtocol):
         # to chains grown since the last build for dst; clean chains are
         # already covered by the knowledge bound and contribute nothing.
         candidates = self._build_candidates(dst, graph.growth)
-        runs, backings, n, groups = graph.select_unknown(known, self.stable, candidates)
+        runs, backings, n, groups = graph.select_unknown(known, self._sv, candidates)
         # sparse mode charges the held chains, not nprocs; the charge is
         # worklist-independent (simulated results must not change)
         cost = (
@@ -154,7 +154,7 @@ class GraphProtocol(VProtocol):
         self.graph.add(det)
         self.probes.note_events_held(len(self.graph))
 
-    def _fold_vector(self, vector: StableState) -> None:
+    def _fold_vector(self, vector: dict[int, int]) -> None:
         # unconditional full prune, exactly the pre-worklist behavior: a
         # chain's prune floor is only raised when its window is visited
         # with stable coverage, so stale determinants re-admitted below an
@@ -163,10 +163,7 @@ class GraphProtocol(VProtocol):
         # reproduce that transient (vcausal can, because its fused loop
         # keeps every floor glued to the stable vector)
         super()._fold_vector(vector)
-        self.graph.prune(self.stable)
-
-    #: every ack path prunes once, an adopted ack with an empty slice too
-    _fold_raises = _fold_vector
+        self.graph.prune(self._sv)
 
     # ------------------------------------------------------------------ #
 
@@ -184,7 +181,7 @@ class GraphProtocol(VProtocol):
             "graph": self.graph.export_state(),
             "known": {p: v.export_state() for p, v in self.known.items()},
             "peer_clock_seen": dict(self.peer_clock_seen),
-            "stable": self.stable.as_list(),
+            "stable": self._stable_list(),
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
@@ -194,7 +191,7 @@ class GraphProtocol(VProtocol):
             p: BoundVector.from_state(v) for p, v in state["known"].items()
         }
         self.peer_clock_seen = dict(state["peer_clock_seen"])
-        self.stable.update(state["stable"])
+        self._restore_stable(state["stable"])
         # the fresh graph re-marked every restored chain dirty; the channel
         # cursors must restart with it, or an in-place restore would leave
         # stale cursors above the new growth ticks and mark everything

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.events import Determinant, DeterminantStore, EventSequence, StableState
+from repro.core.events import Determinant, DeterminantStore, EventSequence
 from repro.core.piggyback import Piggyback
 from repro.core.protocol_base import VProtocol
 from repro.metrics.probes import ProcessProbes
@@ -51,12 +51,9 @@ class PessimisticProtocol(VProtocol):
         self.own.append(det)
         self.probes.note_events_held(len(self.own))
 
-    def _fold_vector(self, vector: StableState) -> None:
+    def _fold_vector(self, vector: dict[int, int]) -> None:
         super()._fold_vector(vector)
-        self.own.prune_upto(self.stable[self.rank])
-
-    #: every ack path prunes once, an adopted ack with an empty slice too
-    _fold_raises = _fold_vector
+        self.own.prune_upto(self._sv.get(self.rank, 0))
 
     def stability_gap(self) -> int:
         """Own events still unacknowledged (sends must wait for zero)."""
@@ -69,8 +66,8 @@ class PessimisticProtocol(VProtocol):
         return len(self.own)
 
     def export_state(self) -> dict[str, Any]:
-        return {"own": list(self.own), "stable": self.stable.as_list()}
+        return {"own": list(self.own), "stable": self._stable_list()}
 
     def restore_state(self, state: dict[str, Any]) -> None:
         self.own = EventSequence.from_state(self.rank, state["own"], self.store)
-        self.stable.update(state["stable"])
+        self._restore_stable(state["stable"])

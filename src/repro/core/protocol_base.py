@@ -18,8 +18,9 @@ Fault-free path (called by :class:`repro.runtime.daemon.Vdaemon`):
   (the daemon assigned the rsn).
 * :meth:`accept_piggyback` — piggybacked events arrived with a message;
   returns the simulated cost of merging them.
-* :meth:`on_el_ack` — an Event Logger ack (journal handle or stable
-  vector) arrived; one fold path for every protocol.
+* :meth:`on_el_ack` — an Event Logger ack or push arrived, an
+  :class:`~repro.core.event_logger.ElAck` journal handle; one fold path
+  for every protocol, into the one sparse stable view ``_sv``.
 
 Recovery path:
 
@@ -34,9 +35,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.event_logger import ElAck, EventLogger
-from repro.core.events import (
-    Determinant, DeterminantStore, GrowthLog, StableState, StableVector,
-)
+from repro.core.events import Determinant, DeterminantStore, GrowthLog
 from repro.core.interfaces import DaemonHost
 from repro.core.piggyback import Piggyback
 from repro.metrics.probes import ProcessProbes
@@ -47,7 +46,7 @@ class VProtocol:
     """Base class: no-op hooks, shared bookkeeping."""
 
     __slots__ = (
-        "rank", "nprocs", "config", "probes", "daemon", "stable", "store",
+        "rank", "nprocs", "config", "probes", "daemon", "_sv", "store",
         "_send_scan_dense", "_recv_scan_dense", "_chan_synced",
         "_ack_src", "_ack_pos",
     )
@@ -72,7 +71,9 @@ class VProtocol:
         self.config = config
         self.probes = probes
         self.daemon: Optional[DaemonHost] = None
-        self.stable = StableVector(nprocs)
+        #: the stable view: creator -> highest EL-stable clock, zero
+        #: entries omitted.  Monotone: folds only ever raise it.
+        self._sv: dict[int, int] = {}
         #: where held determinants are interned: the cluster's one store,
         #: or a private one for a protocol driven on its own
         self.store = store if store is not None else DeterminantStore()
@@ -99,11 +100,11 @@ class VProtocol:
         #: bound already covers their max clock), so the build loop skips
         #: them without touching their sequences.
         self._chan_synced: dict[int, int] = {}
-        #: the EventLogger whose ack journal this process has adopted
-        #: (None until an ack proves the stable view equals its snapshot)
-        #: and the journal position the view has folded (see on_el_ack)
+        #: the adopted EventLogger, whose journal folded up to the cursor
+        #: equals the stable view (None when none is), and per logger the
+        #: cursor: the journal position the view has folded (on_el_ack)
         self._ack_src: Optional[EventLogger] = None
-        self._ack_pos = 0
+        self._ack_pos: dict[EventLogger, int] = {}
 
     def bind(self, daemon: DaemonHost) -> None:
         self.daemon = daemon
@@ -173,49 +174,57 @@ class VProtocol:
         """
         return 0.0
 
-    def on_el_ack(self, ack: ElAck | StableState) -> None:
-        """Fold an Event Logger ack into the stable view.
+    def on_el_ack(self, ack: ElAck) -> None:
+        """Fold an Event Logger ack (or push) into the stable view.
 
-        Once the view equals the fold of a logger's journal up to
-        ``_ack_pos`` (the logger is *adopted*), every later entry raises
-        it and acks arrive FIFO, so an ack folds just the moved slice
-        ``log[_ack_pos:upto]``.  Any other handle (a fresh protocol
-        object's first; a restart restores into a fresh one, whose view
-        is at most the fold) max-merges its snapshot and adopts iff the
-        view then equals it.  A plain vector (a sharded group's ack, a
-        push) may raise the view past the journal: it drops adoption.
+        A process keeps a cursor per logger and folds only the journal
+        slice past it.  Each creator's journal entries rise, so
+        max-merging the slice into a view that already covers the
+        journal up to the cursor equals max-merging the full snapshot.
+        Once the view *equals* a logger's journal fold (the logger is
+        *adopted*: first contact, nothing else folded), every later entry
+        raises it, so its slices skip the max.  A fold from any other
+        logger (a failover owner, a peer shard's push) drops adoption.
         """
-        if type(ack) is ElAck:
-            if ack.src is self._ack_src and ack.upto >= self._ack_pos:
-                moved = dict(ack.log[self._ack_pos : ack.upto])
-                self._ack_pos = ack.upto
-                self._fold_raises(moved)
-                return
-            snapshot = ack.snapshot()
-            self._fold_vector(snapshot)
-            if self._stable_entries() == snapshot:
-                self._ack_src = ack.src
-                self._ack_pos = ack.upto
-                return
-        else:
-            self._fold_vector(ack)
-        self._ack_src = None
+        src = ack.src
+        pos = self._ack_pos.get(src, 0)
+        upto = ack.upto
+        moved = dict(ack.log[pos:upto])
+        if upto > pos:  # a stale ack slices nothing and keeps the cursor
+            self._ack_pos[src] = upto
+        if src is self._ack_src:
+            self._fold_raises(moved)
+            return
+        self._fold_vector(moved)
+        self._ack_src = src if pos == 0 and self._sv == moved else None
 
-    def _fold_vector(self, vector: StableState) -> None:
-        """Max-merge a stable vector (sparse mapping or dense list).
+    def _fold_vector(self, vector: dict[int, int]) -> None:
+        """Max-merge ``vector`` (creator -> clock) into the stable view.
 
         :meth:`on_el_ack` calls exactly one of this and
         :meth:`_fold_raises` per ack; a protocol that acts on an ack (a
         prune) overrides these steps, never :meth:`on_el_ack` itself.
         """
-        self.stable.update(vector)
+        sv = self._sv
+        get = sv.get
+        for c, k in vector.items():
+            if k > get(c, 0):
+                sv[c] = k
 
-    #: fold journal entries that each raise the stable view
-    _fold_raises = _fold_vector
+    def _fold_raises(self, moved: dict[int, int]) -> None:
+        """Fold journal entries that each raise the stable view."""
+        self._fold_vector(moved)
 
-    def _stable_entries(self) -> dict[int, int]:
-        """The nonzero entries of the stable view."""
-        return {c: k for c, k in enumerate(self.stable.view()) if k}
+    def _stable_list(self) -> list[int]:
+        """The stable view in a checkpoint image's dense form."""
+        get = self._sv.get
+        return [get(c, 0) for c in range(self.nprocs)]
+
+    def _restore_stable(self, dense: list[int]) -> None:
+        """Max-merge a checkpoint image's dense stable list (no prune).
+        The view may then exceed the adopted journal: drop adoption."""
+        VProtocol._fold_vector(self, dict(enumerate(dense)))
+        self._ack_src = None
 
     # ------------------------------------------------------------------ #
     # introspection / recovery

@@ -33,7 +33,7 @@ from math import log2
 
 from repro.core.bounds import BoundVector
 from repro.core.events import (
-    Determinant, DeterminantStore, EventSequence, GrowthLog, StableState,
+    Determinant, DeterminantStore, EventSequence, GrowthLog,
 )
 from repro.core.piggyback import Piggyback, Run, factored_bytes_from_counts
 from repro.core.protocol_base import VProtocol
@@ -50,7 +50,6 @@ class VcausalProtocol(VProtocol):
         "_held",
         "_growth",
         "_fresh_prune",
-        "_sv",
         "_live",
         "_fresh_set",
     )
@@ -83,12 +82,6 @@ class VcausalProtocol(VProtocol):
         #: their prune floors must catch up with already-stable clocks at
         #: the next ack even when nothing moved (see on_el_ack)
         self._fresh_prune: list[int] = []
-        #: sparse stable view: creator -> highest acked stable clock, zero
-        #: entries omitted.  This replaces reads of the dense
-        #: ``self.stable`` list (which stays all-zero for this protocol):
-        #: build/accept only probe a handful of creators per message, and
-        #: the journal fold merges acks with one dict.update.
-        self._sv: dict[int, int] = {}
         #: creators whose sequence window is nonempty — the only
         #: sequences an ack can actually prune.  Kept in sync at every
         #: append (accept/on_local_event) and every prune.
@@ -272,13 +265,9 @@ class VcausalProtocol(VProtocol):
             dropped += self._refloor_fresh()
         self._held -= dropped
 
-    def _fold_vector(self, vector: StableState) -> None:
+    def _fold_vector(self, vector: dict[int, int]) -> None:
         vget = self._sv.get
-        items = vector.items() if hasattr(vector, "items") else enumerate(vector)
-        self._fold_raises({c: k for c, k in items if k > vget(c, 0)})
-
-    def _stable_entries(self) -> dict[int, int]:
-        return self._sv
+        self._fold_raises({c: k for c, k in vector.items() if k > vget(c, 0)})
 
     def _refloor_fresh(self) -> int:
         """Prune the sequences created since the last ack to their stable
@@ -314,8 +303,7 @@ class VcausalProtocol(VProtocol):
         # flush the lazily deferred floor raises (empty windows the
         # journal fold skipped) so checkpoint images carry exact floors;
         # fresh sequences keep their creation floor until the next ack
-        sv = self._sv
-        sget = sv.get
+        sget = self._sv.get
         fresh_set = self._fresh_set
         for c, seq in self.seqs.items():
             if c not in fresh_set:
@@ -327,7 +315,7 @@ class VcausalProtocol(VProtocol):
             "channel_bound": {
                 p: b.export_state() for p, b in self.channel_bound.items()
             },
-            "stable": [sv.get(c, 0) for c in range(self.nprocs)],
+            "stable": self._stable_list(),
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
@@ -339,10 +327,7 @@ class VcausalProtocol(VProtocol):
         self.channel_bound = {
             p: BoundVector.from_state(b) for p, b in state["channel_bound"].items()
         }
-        sv = self._sv
-        for c, k in enumerate(state["stable"]):
-            if k > sv.get(c, 0):
-                sv[c] = k
+        self._restore_stable(state["stable"])
         # repopulate the worklist and drop the channel cursors: every
         # restored sequence counts as freshly grown so the first build on
         # each channel rescans them all against the restored channel

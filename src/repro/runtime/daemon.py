@@ -44,6 +44,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.core.event_logger import ElAck
 from repro.core.events import Determinant
 from repro.core.piggyback import Piggyback
 from repro.core.protocol_base import VProtocol, make_protocol
@@ -247,13 +248,14 @@ class Vdaemon:
         self.cluster.probes.el_relogged_determinants += len(dets)
         self.el_log_send(dets)
 
-    def el_vector_push(self, stable_vector: list[int]) -> None:
-        """Broadcast-strategy stable vector pushed by an EL shard."""
+    def el_vector_push(self, push: ElAck) -> None:
+        """Broadcast-strategy push from an EL shard: a handle on its
+        merged view, folded like an ack."""
         if not self.alive:
             return
-        self.protocol.on_el_ack(stable_vector)
+        self.protocol.on_el_ack(push)
 
-    def _el_ack(self, ack: Any) -> None:
+    def _el_ack(self, ack: ElAck) -> None:
         if not self.alive:
             return
         self.probes.el_acks_received += 1

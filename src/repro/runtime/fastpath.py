@@ -210,9 +210,9 @@ def _compile_el_log_send(
                 call.complete()  # crashed client: drop, recovery re-logs
                 return
 
-            def _ack(vector, call=call) -> None:
+            def _ack(ack, call=call) -> None:
                 call.complete()
-                d._el_ack(vector)
+                d._el_ack(ack)
 
             el_log_send(dets, _ack)
 

@@ -9,7 +9,12 @@ import zlib
 import pytest
 
 from repro import Cluster
+from repro.core.bounds import BoundVector
+from repro.core.event_logger import ElAck, EventLogger
+from repro.metrics.probes import ClusterProbes
 from repro.runtime.config import ClusterConfig
+from repro.simulator.engine import Simulator
+from repro.simulator.network import Network
 
 
 def pytest_configure(config):
@@ -37,6 +42,20 @@ def pytest_configure(config):
 @pytest.fixture
 def config() -> ClusterConfig:
     return ClusterConfig()
+
+
+class VectorLogger:
+    """A standalone Event Logger for protocol-level tests that keep a
+    dense stable vector: :meth:`ack` absorbs it as a peer view and hands
+    back the logger's real :class:`ElAck` handle."""
+
+    def __init__(self, nprocs: int) -> None:
+        sim = Simulator()
+        self.el = EventLogger(sim, Network(sim), ClusterConfig(), ClusterProbes(), nprocs)
+
+    def ack(self, stable: list[int]) -> ElAck:
+        self.el.absorb_peer_vector(BoundVector(stable))
+        return self.el.ack()
 
 
 def ring_app(iterations: int = 10, nbytes: int = 512, flops: float = 5e6):

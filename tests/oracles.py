@@ -9,9 +9,11 @@
   ``tests/test_events.py`` runs random programs on both forms and checks
   they agree.
 * :func:`snapshot_fold` folds an Event Logger ack through its full
-  snapshot, the O(nprocs) fold the journal-slice fold of
-  ``VProtocol.on_el_ack`` replaces; ``tests/test_ack_fold_properties.py``
-  holds every protocol's stable view to it.
+  snapshot (:func:`ack_snapshot`), the O(nprocs) fold the journal-slice
+  fold of ``VProtocol.on_el_ack`` replaces;
+  ``tests/test_ack_fold_properties.py`` holds every protocol's stable view
+  to it.  :func:`merged_stable` is the fixed point a shard group's views
+  converge to.
 * :func:`factored_bytes` / :func:`flat_bytes` size a piggyback from its
   event list; ``src/`` sizes it from the counts its build loops keep, and
   ``tests/test_piggyback.py`` checks the two forms agree.
@@ -33,6 +35,8 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
+from repro.core.bounds import BoundVector
+from repro.core.distributed_el import EventLoggerGroup
 from repro.core.event_logger import ElAck
 from repro.core.events import Determinant
 from repro.core.piggyback import factored_bytes_from_counts, flat_bytes_from_count
@@ -53,14 +57,27 @@ def full_scan(cls):
     return FullScan
 
 
-def snapshot_fold(view: dict[int, int], ack: Any) -> None:
-    """Max-merge an ack (an ``ElAck`` handle, a sparse vector or a dense
-    list) into the creator -> stable clock map ``view``."""
-    vector = ack.snapshot() if isinstance(ack, ElAck) else ack
-    items = vector.items() if hasattr(vector, "items") else enumerate(vector)
-    for creator, clock in items:
+def ack_snapshot(ack: ElAck) -> dict[int, int]:
+    """The stable vector an ack stands for (nonzero entries): its
+    logger's journal up to ``upto``, last entry per creator winning."""
+    return dict(ack.log[: ack.upto])
+
+
+def snapshot_fold(view: dict[int, int], ack: ElAck) -> None:
+    """Max-merge an ack's full snapshot into the creator -> stable clock
+    map ``view``."""
+    for creator, clock in ack_snapshot(ack).items():
         if clock > view.get(creator, 0):
             view[creator] = clock
+
+
+def merged_stable(group: EventLoggerGroup) -> list[int]:
+    """Elementwise max of the alive shards' merged views, dense."""
+    out = BoundVector()
+    for shard in group.shards:
+        if shard.alive:
+            out.update_max(shard.merged_view())
+    return out.as_list(group.nprocs)
 
 
 def factored_bytes(events: Sequence[Determinant], config: ClusterConfig) -> int:

@@ -2,7 +2,7 @@
 
 from repro.core.antecedence import AntecedenceGraph
 from repro.core.bounds import BoundVector
-from repro.core.events import Determinant, StableVector
+from repro.core.events import Determinant
 from repro.core.piggyback import run_events
 
 
@@ -38,9 +38,7 @@ def test_add_run_fills_holes_and_skips_held_and_stable():
     g = AntecedenceGraph(2)
     for k in (1, 3, 6):
         g.add(backing[k - 1])
-    stable = StableVector(2)
-    stable.advance(0, 1)
-    assert g.prune(stable) == 1
+    assert g.prune({0: 1}) == 1
     tick = g.growth.counter
     assert g.add_run(0, 1, 8, backing) == 5  # 2, 4, 5, 7, 8; not stable 1
     assert (g.det_merges, g.run_merges) == (8, 0)
@@ -76,9 +74,8 @@ def test_raise_knowledge_counts_visits():
 
 def test_select_unknown_respects_bounds():
     g = build_chain_world()
-    stable = StableVector(3)
     known = BoundVector([1, 0, 0])
-    runs, backings, n, groups = g.select_unknown(known, stable)
+    runs, backings, n, groups = g.select_unknown(known, {})
     events = run_events(runs, backings)
     assert {(d.creator, d.clock) for d in events} == {(0, 2), (1, 1), (2, 1)}
     # one (creator, first, last) run per contributing creator
@@ -90,19 +87,14 @@ def test_select_unknown_respects_bounds():
 
 def test_select_unknown_respects_stable():
     g = build_chain_world()
-    stable = StableVector(3)
-    stable.advance(0, 2)
-    stable.advance(1, 1)
-    runs, backings, _, _ = g.select_unknown(BoundVector(), stable)
+    runs, backings, _, _ = g.select_unknown(BoundVector(), {0: 2, 1: 1})
     events = run_events(runs, backings)
     assert {(d.creator, d.clock) for d in events} == {(2, 1)}
 
 
 def test_prune_drops_vertices():
     g = build_chain_world()
-    stable = StableVector(3)
-    stable.advance(0, 1)
-    dropped = g.prune(stable)
+    dropped = g.prune({0: 1})
     assert dropped == 1
     assert (0, 1) not in g
     assert (0, 2) in g
@@ -110,8 +102,7 @@ def test_prune_drops_vertices():
 
 def test_prune_makes_knowledge_conservative_not_wrong():
     g = build_chain_world()
-    stable = StableVector(3)
-    stable.advance(0, 1)
+    stable = {0: 1}
     g.prune(stable)
     known = BoundVector()
     g.raise_knowledge((0, 2), known)

@@ -7,6 +7,7 @@ from repro.core.distributed_el import EventLoggerGroup, shard_host
 from repro.workloads.nas import make_app
 
 from tests.conftest import ring_app, run_ring
+from tests.oracles import merged_stable
 
 
 def dcfg(count, strategy="multicast", interval=2e-3):
@@ -95,7 +96,7 @@ def test_each_shard_stores_only_its_creators():
 def test_merged_stable_covers_all_creators():
     result = run_ring("vcausal", nprocs=4, iterations=10, config=dcfg(2))
     group = result.cluster.event_logger
-    merged = group.merged_stable()
+    merged = merged_stable(group)
     assert all(v > 0 for v in merged)
 
 

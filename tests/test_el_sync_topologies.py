@@ -26,6 +26,7 @@ from repro.simulator.engine import Simulator
 from repro.simulator.network import Network
 
 from tests.conftest import run_ring
+from tests.oracles import merged_stable
 
 
 def dcfg(count, strategy="multicast", interval=2e-3, **kw):
@@ -65,7 +66,7 @@ def make_group(count, strategy, nprocs=32, seed=7, rounds=2, kill=(), **group_kw
 def fixed_point(group):
     """The multicast fixed point: elementwise max over every shard's
     authoritative clocks (== what ``merged_stable`` reports)."""
-    return group.merged_stable()
+    return merged_stable(group)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from repro.runtime.config import ClusterConfig
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Network
 
+from tests.oracles import ack_snapshot
+
 
 def make_el(nprocs=3, **cfg_kw):
     sim = Simulator()
@@ -30,7 +32,7 @@ def test_log_and_ack_carries_stable_vector():
     acks = []
     el.receive_log(1, (det(1, 1),), lambda v: acks.append(v), "n1")
     sim.run()
-    assert [BoundVector(v.snapshot()).as_list(3) for v in acks] == [[0, 1, 0]]
+    assert [BoundVector(ack_snapshot(v)).as_list(3) for v in acks] == [[0, 1, 0]]
     assert el.stable_clock.as_list(3) == [0, 1, 0]
     assert probes.el_determinants_stored == 1
 
@@ -101,7 +103,7 @@ def test_hole_keeps_stability_at_contiguous_prefix():
     assert [d.clock for d in el.store[0]] == [1, 2, 3]
     assert el.stable_clock[0] == 3
     assert el._ack_log == [(0, 1), (0, 3)]
-    assert acks[0].snapshot() == {0: 3}
+    assert ack_snapshot(acks[0]) == {0: 3}
 
 
 def test_ack_vector_covers_nprocs():
@@ -109,7 +111,7 @@ def test_ack_vector_covers_nprocs():
     acks = []
     el.receive_log(4, (det(4, 1),), lambda v: acks.append(v), "n0")
     sim.run()
-    assert BoundVector(acks[0].snapshot()).as_list(5) == [0, 0, 0, 0, 1]
+    assert BoundVector(ack_snapshot(acks[0])).as_list(5) == [0, 0, 0, 0, 1]
 
 
 def test_ack_wire_bytes_dense_vs_sparse():

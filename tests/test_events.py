@@ -1,5 +1,5 @@
-"""Unit + property tests for determinants, the determinant store,
-sequence windows (against the list-form oracle) and stable vectors."""
+"""Unit + property tests for determinants, the determinant store and
+sequence windows (against the list-form oracle)."""
 
 import copy
 
@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import (
-    Determinant,
-    DeterminantStore,
-    EventSequence,
-    StableVector,
-)
+from repro.core.events import Determinant, DeterminantStore, EventSequence
 from repro.core.piggyback import run_events
 from tests.oracles import ListEventSequence
 
@@ -501,41 +496,3 @@ def test_window_form_matches_list_oracle(ops):
                 old is None or backing[i] is old for i, old in enumerate(before)
             )
             seen[key] = (backing, list(backing))
-
-
-# --------------------------------------------------------------------- #
-# StableVector
-
-def test_stable_vector_advance_monotone():
-    v = StableVector(4)
-    assert v.advance(1, 5)
-    assert not v.advance(1, 3)
-    assert v[1] == 5
-
-
-def test_stable_vector_update_merges_elementwise_max():
-    v = StableVector(3)
-    v.update([1, 5, 2])
-    assert not v.update([0, 4, 2])
-    assert v.update([2, 4, 2])
-    assert v.as_list() == [2, 5, 2]
-
-
-def test_stable_vector_len():
-    assert len(StableVector(7)) == 7
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    updates=st.lists(
-        st.lists(st.integers(min_value=0, max_value=100), min_size=3, max_size=3),
-        max_size=20,
-    )
-)
-def test_stable_vector_is_elementwise_max(updates):
-    v = StableVector(3)
-    for u in updates:
-        v.update(u)
-    for c in range(3):
-        want = max((u[c] for u in updates), default=0)
-        assert v[c] == max(0, want)

@@ -28,6 +28,7 @@ from repro.core.piggyback import Piggyback
 from repro.core.vcausal import VcausalProtocol
 from repro.metrics.probes import ProcessProbes
 from repro.runtime.config import ClusterConfig
+from tests.conftest import VectorLogger
 from tests.oracles import causal_linear_extension, factored_bytes
 
 CFG = ClusterConfig()
@@ -48,8 +49,9 @@ class MiniWorld:
         self.closure = [[0] * n for _ in range(n)]
         #: events piggybacked per directed channel (for the no-dup check)
         self.channel_history: dict[tuple[int, int], set] = {}
-        #: global stable vector (the EL's truth)
+        #: global stable vector (the EL's truth) and the logger acking it
         self.stable = [0] * n
+        self.logger = VectorLogger(n)
 
     def send(self, src: int, dst: int):
         """One message src → dst with full piggyback processing."""
@@ -107,11 +109,14 @@ class MiniWorld:
         return pb
 
     def ack(self, advance_to: dict[int, int], recipients: list[int]):
-        """The EL advances its stable clocks and acks some processes."""
+        """The EL advances its stable clocks and acks some processes;
+        returns the ack."""
         for c, k in advance_to.items():
             self.stable[c] = max(self.stable[c], min(k, self.clocks[c]))
+        ack = self.logger.ack(self.stable)
         for r in recipients:
-            self.protocols[r].on_el_ack(list(self.stable))
+            self.protocols[r].on_el_ack(ack)
+        return ack
 
     def holdings_above_stable(self, rank: int) -> dict[int, frozenset]:
         out = {}
@@ -248,9 +253,9 @@ def test_logon_accept_is_blind_to_the_linear_extension(data):
             recips = data.draw(
                 st.lists(st.integers(0, n - 1), unique=True, max_size=n)
             )
-            world.ack(advance, recips)
+            ack = world.ack(advance, recips)
             for r in recips:
-                twins[r].on_el_ack(list(world.stable))
+                twins[r].on_el_ack(ack)
         for r in range(n):
             assert _graph_state(twins[r]) == _graph_state(world.protocols[r])
 

@@ -304,6 +304,33 @@ def test_ack_journal_stays_private():
     assert hits == {}
 
 
+def _journal_writes(source: str) -> list[int]:
+    """Lines that construct an ``ElAck`` or name an ``_ack_log``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "ElAck")
+        or (isinstance(node, ast.Attribute) and node.attr == "_ack_log")
+    )
+
+
+def test_ack_handles_made_only_by_the_logger():
+    """Only ``core/event_logger.py`` constructs an ``ElAck`` or appends to
+    the ``_ack_log`` journal it hands out.  The fold max-merges journal
+    slices, which is exact only while each creator's entries rise; a
+    handle over any other list could break that unseen."""
+    probe = "a = ElAck(el, log, 3)\nel._ack_log.append(x)\nb = ack.upto\n"
+    assert _journal_writes(probe) == [1, 2]
+    src = REPO_ROOT / "src" / "repro"
+    hits = {
+        path.relative_to(src).as_posix(): lines
+        for path in sorted(src.rglob("*.py"))
+        if (lines := _journal_writes(path.read_text()))
+    }
+    assert list(hits) == ["core/event_logger.py"]
+
+
 def _defines(source: str, name: str) -> list[int]:
     """Lines where ``name`` is defined as a function or bound by an
     assignment, at any depth."""

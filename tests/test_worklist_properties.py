@@ -30,7 +30,7 @@ from repro.core.logon import LogOnProtocol
 from repro.core.manetho import ManethoProtocol
 from repro.core.vcausal import VcausalProtocol
 from repro.metrics.probes import ProcessProbes
-from tests.conftest import ring_app, run_ring
+from tests.conftest import VectorLogger, ring_app, run_ring
 from tests.oracles import flat_bytes, full_scan
 
 CFG = ClusterConfig()
@@ -51,6 +51,7 @@ class TwinWorlds:
         self.clocks = [0] * n
         self.ssn: dict[tuple[int, int], int] = {}
         self.stable = [0] * n
+        self.logger = VectorLogger(n)
 
     def send(self, src: int, dst: int):
         pb_wl = self.wl[src].build_piggyback(dst)
@@ -77,9 +78,10 @@ class TwinWorlds:
     def ack(self, advance_to: dict[int, int], recipients: list[int]):
         for c, k in advance_to.items():
             self.stable[c] = max(self.stable[c], min(k, self.clocks[c]))
+        ack = self.logger.ack(self.stable)
         for r in recipients:
-            self.wl[r].on_el_ack(list(self.stable))
-            self.fs[r].on_el_ack(list(self.stable))
+            self.wl[r].on_el_ack(ack)
+            self.fs[r].on_el_ack(ack)
 
     def restore(self, rank: int, in_place: bool = False):
         """Checkpoint-restore ``rank`` mid-stream in both worlds (the
