@@ -2,7 +2,7 @@
 
 Modules
 -------
-* :mod:`~repro.core.events` — determinants, event identifiers, sequences.
+* :mod:`~repro.core.events` — determinants, the determinant store, window tables.
 * :mod:`~repro.core.piggyback` — exact wire formats and byte accounting.
 * :mod:`~repro.core.protocol_base` — the V-protocol hook API and Vdummy.
 * :mod:`~repro.core.sender_log` — sender-based payload logging.
@@ -18,7 +18,7 @@ Modules
 * :mod:`~repro.core.coordinated` — Chandy-Lamport coordinated checkpointing.
 """
 
-from repro.core.events import Determinant, EventSequence
+from repro.core.events import Determinant, WindowTable
 from repro.core.protocol_base import VProtocol, NoFaultTolerance, make_protocol
 from repro.core.vcausal import VcausalProtocol
 from repro.core.manetho import ManethoProtocol
@@ -28,7 +28,7 @@ from repro.core.coordinated import CoordinatedProtocol
 
 __all__ = [
     "Determinant",
-    "EventSequence",
+    "WindowTable",
     "VProtocol",
     "NoFaultTolerance",
     "make_protocol",

@@ -24,7 +24,7 @@ from typing import Any, Optional
 from repro.core.antecedence import AntecedenceGraph
 from repro.core.bounds import BoundVector
 from repro.core.events import Determinant, DeterminantStore
-from repro.core.piggyback import Piggyback
+from repro.core.piggyback import Piggyback, Run
 from repro.core.protocol_base import VProtocol
 from repro.metrics.probes import ProcessProbes
 from repro.runtime.config import ClusterConfig
@@ -47,7 +47,7 @@ class GraphProtocol(VProtocol):
         store: Optional[DeterminantStore] = None,
     ) -> None:
         super().__init__(rank, nprocs, config, probes, store)
-        self.graph = AntecedenceGraph(nprocs, self.store)
+        self.graph = AntecedenceGraph(self.store)
         #: peer -> sparse per-creator clock bounds the peer is known to hold
         self.known: dict[int, BoundVector] = {}
         #: peer -> highest reception clock of that peer observed (via dep
@@ -86,23 +86,23 @@ class GraphProtocol(VProtocol):
         # from the receiver's latest event we hold, which may be known
         # through a third party (paper Fig. 3: P3 infers what P2 knows
         # without ever having communicated with it)
-        dst_seq = graph.seqs.get(dst)
-        start = max(
-            self.peer_clock_seen.get(dst, 0),
-            dst_seq.max_clock if dst_seq is not None else 0,
-        )
+        start = max(self.peer_clock_seen.get(dst, 0), graph.max_clock.get(dst, 0))
         visits = graph.raise_knowledge((dst, start), known) if start > known[dst] else 0
-        # select_unknown raises known in place: everything piggybacked is
+        # select_tails raises known in place: everything piggybacked is
         # now known by dst.  The dirty-creator worklist restricts the scan
         # to chains grown since the last build for dst; clean chains are
         # already covered by the knowledge bound and contribute nothing.
-        candidates = self._build_candidates(dst, graph.growth)
-        runs, backings, n, groups = graph.select_unknown(known, self._sv, candidates)
+        runs: list[Run] = []
+        backings: list[list] = []
+        n, groups = graph.select_tails(
+            self._build_candidates(dst, graph.growth), known.data, self._sv,
+            runs, backings,
+        )
         # sparse mode charges the held chains, not nprocs; the charge is
         # worklist-independent (simulated results must not change)
         cost = (
             cfg.cost_piggyback_fixed_s
-            + self._pb_send_scan_cost(len(graph.seqs))
+            + self._pb_send_scan_cost(len(graph.floor))
             + (visits + n) * cfg.cost_graph_visit_s
             + self._reorder_cost(n)
             + n * cfg.cost_serialize_event_s
@@ -118,7 +118,7 @@ class GraphProtocol(VProtocol):
         graph = self.graph
         known = self._known(src).data
         kget = known.get
-        # merge run-at-a-time (see AntecedenceGraph.add_run).  Within a run
+        # merge run-at-a-time (see WindowTable.accept_run).  Within a run
         # the creator's clocks ascend, and across runs of the same creator
         # later runs carry later clocks (chain order is causal order), so
         # per-run knowledge updates land on the same bounds a
@@ -126,7 +126,7 @@ class GraphProtocol(VProtocol):
         new = 0
         r0, d0 = graph.run_merges, graph.det_merges
         for (creator, first, last), backing in zip(pb.runs, pb.backings):
-            new += graph.add_run(creator, first, last, backing)
+            new += graph.accept_run(creator, first, last, backing)
             if last > kget(creator, 0):
                 known[creator] = last
         self.probes.pb_accept_runs += graph.run_merges - r0
@@ -168,13 +168,13 @@ class GraphProtocol(VProtocol):
     # ------------------------------------------------------------------ #
 
     def events_created_by(self, creator: int) -> list[Determinant]:
-        return self.graph.events_created_by(creator)
+        return self.graph.dets(creator)
 
     def events_held(self) -> int:
         return len(self.graph)
 
     def scan_events_held(self) -> int:
-        return self.graph.scan_size()
+        return self.graph.scan_held()
 
     def export_state(self) -> dict[str, Any]:
         return {
@@ -185,8 +185,8 @@ class GraphProtocol(VProtocol):
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self.graph = AntecedenceGraph(self.nprocs, self.store)
-        self.graph.restore_state(state["graph"])
+        self.graph = AntecedenceGraph(self.store)
+        self.graph.load(state["graph"])
         self.known = {
             p: BoundVector.from_state(v) for p, v in state["known"].items()
         }

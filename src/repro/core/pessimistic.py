@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.events import Determinant, DeterminantStore, EventSequence
+from repro.core.events import Determinant, DeterminantStore, WindowTable
 from repro.core.piggyback import Piggyback
 from repro.core.protocol_base import VProtocol
 from repro.metrics.probes import ProcessProbes
@@ -40,34 +40,36 @@ class PessimisticProtocol(VProtocol):
         store: Optional[DeterminantStore] = None,
     ) -> None:
         super().__init__(rank, nprocs, config, probes, store)
-        #: own events not yet acknowledged by the EL
-        self.own = EventSequence(rank, self.store)
+        #: own events not yet acknowledged by the EL (one window)
+        self.own = WindowTable(self.store)
+        self.own.open(rank)
 
     def build_piggyback(self, dst: int) -> Piggyback:
         # nothing rides on messages; stability gating happens in the daemon
         return Piggyback()
 
     def on_local_event(self, det: Determinant) -> None:
-        self.own.append(det)
-        self.probes.note_events_held(len(self.own))
+        self.own.append(self.rank, det)
+        self.probes.note_events_held(self.own.held)
 
     def _fold_vector(self, vector: dict[int, int]) -> None:
         super()._fold_vector(vector)
-        self.own.prune_upto(self._sv.get(self.rank, 0))
+        self.own.prune_upto(self.rank, self._sv.get(self.rank, 0))
 
     def stability_gap(self) -> int:
         """Own events still unacknowledged (sends must wait for zero)."""
-        return len(self.own)
+        return self.own.held
 
     def events_created_by(self, creator: int) -> list[Determinant]:
-        return list(self.own) if creator == self.rank else []
+        return self.own.dets(creator)
 
     def events_held(self) -> int:
-        return len(self.own)
+        return self.own.held
 
     def export_state(self) -> dict[str, Any]:
-        return {"own": list(self.own), "stable": self._stable_list()}
+        return {"own": self.own.dets(self.rank), "stable": self._stable_list()}
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self.own = EventSequence.from_state(self.rank, state["own"], self.store)
+        self.own = WindowTable(self.store)
+        self.own.load({self.rank: state["own"]})
         self._restore_stable(state["stable"])

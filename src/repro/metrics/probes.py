@@ -45,8 +45,9 @@ class ProcessProbes:
     # sequence either way, so this counter is host-side evidence only.
     pb_build_seqs_scanned: int = 0
     # Accept-path merge granularity: whole clock-ascending creator runs
-    # consumed via the O(1) run classification vs determinants merged one
-    # by one through the fallback path (holes / partial overlaps).
+    # accepted by interval arithmetic (holes included) vs determinants of
+    # runs over another backing list than the window's, copied in clock
+    # by clock (only after a conflicting re-creation forked the store).
     pb_accept_runs: int = 0
     pb_accept_fallback_dets: int = 0
 

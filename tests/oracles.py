@@ -3,11 +3,11 @@
 * :func:`full_scan` is a causal protocol whose piggyback build scans every
   held sequence instead of the dirty-creator worklist;
   ``tests/test_worklist_properties.py`` checks the worklist against it.
-* :class:`ListEventSequence` is the list form of
-  :class:`~repro.core.events.EventSequence`: every held determinant copied
-  into a private clock-sorted list, no store, no spans.
-  ``tests/test_events.py`` runs random programs on both forms and checks
-  they agree.
+* :class:`ListEventSequence` is the list form of one window of a
+  :class:`~repro.core.events.WindowTable`: every held determinant copied
+  into a private clock-sorted list, no store, no spans, no columns.
+  ``tests/test_events.py`` runs random programs over several creators of
+  one table, each checked against its own list form.
 * :func:`snapshot_fold` folds an Event Logger ack through its full
   snapshot (:func:`ack_snapshot`), the O(nprocs) fold the journal-slice
   fold of ``VProtocol.on_el_ack`` replaces;
@@ -126,9 +126,8 @@ def causal_linear_extension(events: Iterable[Determinant]) -> list[Determinant]:
 
 class ListEventSequence:
     """Ordered, prunable list of one creator's determinants (the list form
-    the window form replaced; same public behaviour, O(held) memory per
-    holder).  ``_contiguous`` is exact: True iff the held clocks are
-    hole-free."""
+    of a table window; same public behaviour, O(held) memory per
+    holder)."""
 
     def __init__(self, creator: int) -> None:
         self.creator = creator
@@ -136,7 +135,6 @@ class ListEventSequence:
         self._dets: list[Determinant] = []
         self._offset = 0
         self.pruned_upto = 0
-        self._contiguous = True
         self.max_clock = 0
 
     def __len__(self) -> int:
@@ -158,32 +156,6 @@ class ListEventSequence:
     def holds(self, clock: int) -> bool:
         return self.get(clock) is not None
 
-    def _holds_range(self, first: int, last: int) -> bool:
-        clocks = self._clocks
-        off = self._offset
-        if off >= len(clocks) or not self._contiguous:
-            return False
-        return clocks[off] <= first and last <= clocks[-1]
-
-    def new_run_offset(self, first: int, last: int, count: int) -> Optional[int]:
-        base = 0
-        floor = self.pruned_upto
-        if first <= floor:
-            if last <= floor:
-                return count
-            if last - first + 1 != count:
-                return None
-            base = floor - first + 1
-            first = floor + 1
-        maxc = self.max_clock
-        if first > maxc:
-            return base
-        if last - first + 1 == count - base and self._holds_range(
-            first, min(last, maxc)
-        ):
-            return count if last <= maxc else base + (maxc - first + 1)
-        return None
-
     def append(self, det: Determinant) -> None:
         if det.creator != self.creator:
             raise ValueError(f"creator mismatch: {det.creator} != {self.creator}")
@@ -192,20 +164,9 @@ class ListEventSequence:
             last = clocks[-1]
             if det.clock <= last:
                 raise ValueError(f"non-monotonic append: clock {det.clock} <= {last}")
-            if det.clock != last + 1:
-                self._contiguous = False
         clocks.append(det.clock)
         self._dets.append(det)
         self.max_clock = det.clock
-
-    def extend_monotonic(self, first: int, last: int, backing: list) -> int:
-        if last < first:
-            return 0
-        if len(self) and first <= self._clocks[-1]:
-            raise ValueError(f"non-monotonic append: clock {first} <= {self._clocks[-1]}")
-        for det in backing[first - 1 : last]:
-            self.append(det)
-        return last - first + 1
 
     def merge(self, dets: Iterable[Determinant]) -> int:
         added = 0
@@ -231,9 +192,20 @@ class ListEventSequence:
             self._clocks = [c for c, _ in items]
             self._dets = [d for _, d in items]
             self._offset = 0
-            self._contiguous = items[-1][0] - items[0][0] + 1 == len(items)
             self.max_clock = items[-1][0]
         return added
+
+    def accept_run(
+        self, first: int, last: int, backing: list, stable: int = 0, floor: int = 0
+    ) -> int:
+        """Raise the floor to ``floor``, then merge the run's clocks that
+        are above the highest held clock or above ``stable``."""
+        if floor > self.pruned_upto:
+            self.pruned_upto = floor
+        maxc = self.max_clock
+        return self.merge(
+            [backing[k - 1] for k in range(first, last + 1) if k > maxc or k > stable]
+        )
 
     def index_window(self, bound: int, upto: int) -> tuple[list, int, int]:
         lo = bisect_right(self._clocks, bound, lo=self._offset)
@@ -255,7 +227,6 @@ class ListEventSequence:
             return n - off
         i = bisect_right(clocks, clock, lo=off)
         self._offset = i
-        self._contiguous = clocks[-1] - clocks[i] + 1 == n - i
         return i - off
 
     def export_state(self) -> dict[str, Any]:

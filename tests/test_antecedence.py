@@ -6,9 +6,17 @@ from repro.core.events import Determinant
 from repro.core.piggyback import run_events
 
 
+def select_unknown(g, known, stable):
+    """Every window's events not covered by ``known`` or ``stable``:
+    (runs, backings, events, groups); ``known`` is raised in place."""
+    runs, backings = [], []
+    n, groups = g.select_tails(None, known.data, stable, runs, backings)
+    return runs, backings, n, groups
+
+
 def build_chain_world():
     """Fig. 3-like world: 3 creators, cross edges threading through."""
-    g = AntecedenceGraph(3)
+    g = AntecedenceGraph()
     # P0 receives from P1, P1 from P2, ...
     g.add(Determinant(0, 1, 1, 1, 0))        # a: P0 recv (no dep)
     g.add(Determinant(1, 1, 0, 1, 1))        # b: P1 recv of m sent after a
@@ -32,20 +40,21 @@ def test_add_duplicate_returns_false():
 
 
 def test_add_run_fills_holes_and_skips_held_and_stable():
-    """A run over a window with holes merges per determinant: it adds
-    exactly the missing unstable clocks and marks the chain grown once."""
+    """A run over another backing list than a holey window's merges per
+    determinant: it adds exactly the missing unstable clocks and marks the
+    chain grown once."""
     backing = [Determinant(0, k, 1, k, 0) for k in range(1, 9)]
-    g = AntecedenceGraph(2)
+    g = AntecedenceGraph()
     for k in (1, 3, 6):
         g.add(backing[k - 1])
     assert g.prune({0: 1}) == 1
     tick = g.growth.counter
-    assert g.add_run(0, 1, 8, backing) == 5  # 2, 4, 5, 7, 8; not stable 1
+    assert g.accept_run(0, 1, 8, backing) == 5  # 2, 4, 5, 7, 8; not stable 1
     assert (g.det_merges, g.run_merges) == (8, 0)
-    assert [d.clock for d in g.events_created_by(0)] == list(range(2, 9))
-    assert len(g) == g.scan_size() == 7
+    assert [d.clock for d in g.dets(0)] == list(range(2, 9))
+    assert len(g) == g.scan_held() == 7
     assert g.growth.counter == tick + 1
-    assert g.add_run(0, 2, 8, backing) == 0
+    assert g.accept_run(0, 2, 8, backing) == 0
 
 
 def test_raise_knowledge_covers_causal_past():
@@ -75,7 +84,7 @@ def test_raise_knowledge_counts_visits():
 def test_select_unknown_respects_bounds():
     g = build_chain_world()
     known = BoundVector([1, 0, 0])
-    runs, backings, n, groups = g.select_unknown(known, {})
+    runs, backings, n, groups = select_unknown(g, known, {})
     events = run_events(runs, backings)
     assert {(d.creator, d.clock) for d in events} == {(0, 2), (1, 1), (2, 1)}
     # one (creator, first, last) run per contributing creator
@@ -87,7 +96,7 @@ def test_select_unknown_respects_bounds():
 
 def test_select_unknown_respects_stable():
     g = build_chain_world()
-    runs, backings, _, _ = g.select_unknown(BoundVector(), {0: 2, 1: 1})
+    runs, backings, _, _ = select_unknown(g, BoundVector(), {0: 2, 1: 1})
     events = run_events(runs, backings)
     assert {(d.creator, d.clock) for d in events} == {(2, 1)}
 
@@ -108,7 +117,7 @@ def test_prune_makes_knowledge_conservative_not_wrong():
     g.raise_knowledge((0, 2), known)
     # the traversal can no longer reach a (pruned), but a is stable so it
     # is excluded from piggybacks anyway
-    runs, backings, _, _ = g.select_unknown(known, stable)
+    runs, backings, _, _ = select_unknown(g, known, stable)
     events = run_events(runs, backings)
     assert (0, 1) not in {(d.creator, d.clock) for d in events}
 
@@ -116,8 +125,8 @@ def test_prune_makes_knowledge_conservative_not_wrong():
 def test_export_restore_roundtrip():
     g = build_chain_world()
     state = g.export_state()
-    g2 = AntecedenceGraph(3)
-    g2.restore_state(state)
+    g2 = AntecedenceGraph()
+    g2.load(state)
     assert len(g2) == len(g)
     known1, known2 = BoundVector(), BoundVector()
     g.raise_knowledge((0, 2), known1)

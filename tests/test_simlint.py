@@ -256,18 +256,20 @@ def _sequence_private_uses(source: str, private: frozenset[str]) -> list[tuple[i
 
 
 def test_sequence_internals_stay_private():
-    """Only ``core/events.py`` touches the underscore attributes of an
-    ``EventSequence`` window or of the ``DeterminantStore``: protocols
-    build, accept and fold acks through the window's methods, so the
-    window's representation can change without reading its callers."""
+    """Only ``core/events.py`` touches the underscore attributes of a
+    ``WindowTable`` or of the ``DeterminantStore``: protocols build,
+    accept and fold acks through the table's methods and read only its
+    public columns, so the representation can change without reading its
+    callers."""
     from repro.core import events
 
     private = frozenset(
         name
-        for cls in (events.EventSequence, getattr(events, "DeterminantStore", None))
-        for name in getattr(cls, "__slots__", ())
+        for cls in (events.WindowTable, events.DeterminantStore)
+        for name in cls.__slots__
         if name.startswith("_")
     )
+    assert {"_holes", "_private", "_origin"} <= private
     probe = "n = seq._x\nseq.max_clock\nb = store._y[c]\n"
     assert _sequence_private_uses(probe, frozenset({"_x", "_y"})) == [
         (1, "_x"),
